@@ -38,6 +38,10 @@ use qf_sketch::simd::{broadcast4, eq_lanes4, movemask4, pack4, LANES_PER_WORD};
 /// Bytes charged per entry: 2 (fingerprint) + 4 (Qweight counter).
 pub const ENTRY_BYTES: usize = 6;
 
+/// Bytes per slot in a snapshot's state section: the occupancy flag plus
+/// the entry (see [`CandidatePart::write_state`]).
+const SLOT_WIRE_BYTES: usize = 1 + ENTRY_BYTES;
+
 /// Zeroed fingerprint slots appended past the last bucket so every bucket's
 /// probe window `[start, start + bucket_len.next_multiple_of(4))` is in
 /// bounds — the SWAR scan then runs whole packed words with no scalar
@@ -658,15 +662,35 @@ impl CandidatePart {
     /// must not trigger a huge allocation.
     pub(crate) const MAX_SNAPSHOT_SLOTS: u64 = 1 << 28;
 
+    /// Bytes [`Self::write_state`] appends: one record per slot.
+    pub(crate) fn state_len(&self) -> usize {
+        self.buckets * self.bucket_len * SLOT_WIRE_BYTES
+    }
+
     /// Serialize every slot (occupied flag, fingerprint, Qweight) into a
     /// snapshot's state section. The per-slot record order is the AoS wire
-    /// format — unchanged by the SoA layout.
+    /// format — unchanged by the SoA layout. The records are encoded in
+    /// place into one block, walking the three arrays bucket by bucket so
+    /// that a slot's occupancy bit needs no division of its index.
     pub(crate) fn write_state(&self, w: &mut ByteWriter) {
-        for i in 0..self.buckets * self.bucket_len {
-            let (bucket, slot) = (i / self.bucket_len, i % self.bucket_len);
-            w.put_u8(u8::from(self.occupied(bucket, slot)));
-            w.put_u16(self.fps[i]);
-            w.put_i32(self.qws[i]);
+        let (len, slots) = (self.bucket_len, self.buckets * self.bucket_len);
+        // Fixed-size records, so every store below has a constant offset.
+        let (records, _) = w
+            .put_block(slots * SLOT_WIRE_BYTES)
+            .as_chunks_mut::<SLOT_WIRE_BYTES>();
+        let buckets = records
+            .chunks_exact_mut(len)
+            .zip(self.fps[..slots].chunks_exact(len))
+            .zip(self.qws[..slots].chunks_exact(len))
+            .zip(self.occ.chunks_exact(self.occ_words));
+        for (((records, fps), qws), occ) in buckets {
+            let slots = records.iter_mut().zip(fps).zip(qws);
+            for (slot, ((record, &fp), &qw)) in slots.enumerate() {
+                let occupied = occ.get(slot / 64).map_or(0, |word| word >> (slot % 64) & 1);
+                let [f0, f1] = fp.to_le_bytes();
+                let [q0, q1, q2, q3] = qw.to_le_bytes();
+                *record = [occupied as u8, f0, f1, q0, q1, q2, q3];
+            }
         }
     }
 
@@ -702,21 +726,22 @@ impl CandidatePart {
             bucket_hash,
             fp_seed,
         };
-        for i in 0..buckets * bucket_len {
-            let occupied = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Invalid("bad slot occupancy flag")),
-            };
-            let fp = r.get_u16()?;
-            let qw = r.get_i32()?;
-            if !occupied && (fp != 0 || qw != 0) {
-                return Err(WireError::Invalid("free slot with residual payload"));
-            }
-            part.fps.push(fp);
-            part.qws.push(qw);
-            if occupied {
-                part.set_occupied(i / bucket_len, i % bucket_len);
+        let block = r.get_bytes(buckets * bucket_len * SLOT_WIRE_BYTES)?;
+        let (records, _) = block.as_chunks::<SLOT_WIRE_BYTES>();
+        for (bucket, records) in records.chunks_exact(bucket_len).enumerate() {
+            for (slot, &[flag, f0, f1, q0, q1, q2, q3]) in records.iter().enumerate() {
+                let fp = u16::from_le_bytes([f0, f1]);
+                let qw = i32::from_le_bytes([q0, q1, q2, q3]);
+                match flag {
+                    0 if fp != 0 || qw != 0 => {
+                        return Err(WireError::Invalid("free slot with residual payload"))
+                    }
+                    0 => {}
+                    1 => part.set_occupied(bucket, slot),
+                    _ => return Err(WireError::Invalid("bad slot occupancy flag")),
+                }
+                part.fps.push(fp);
+                part.qws.push(qw);
             }
         }
         part.fps.resize(buckets * bucket_len + FP_PAD, 0);

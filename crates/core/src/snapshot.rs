@@ -102,21 +102,47 @@ fn corrupt(reason: &str) -> QfError {
     }
 }
 
-/// Wrap config + state sections into the checksummed envelope.
-fn seal(tag: u8, config: &[u8], state: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Room reserved for a config section. A filter's config is 75 bytes; the
+/// wrappers prepend an epoch length or their criteria list.
+const CONFIG_HINT: usize = 128;
+
+/// Encode one envelope into `out` in a single pass over the container.
+///
+/// The header, the config section and the state section are written
+/// straight into the final buffer, which is reserved once from
+/// `state_len` (and not at all when `out` already holds an envelope of
+/// this size). The header's two lengths and the config digest are patched
+/// in once their sections are down, then the checksum is taken over the
+/// finished body. `tests/snapshot_golden.rs` pins the resulting bytes.
+fn seal_into(
+    out: &mut Vec<u8>,
+    tag: u8,
+    state_len: usize,
+    config: impl FnOnce(&mut ByteWriter),
+    state: impl FnOnce(&mut ByteWriter),
+) {
+    let hint = HEADER_BYTES + CONFIG_HINT + state_len + 8;
+    let mut w = ByteWriter::reuse(std::mem::take(out), hint);
     w.put_bytes(&SNAPSHOT_MAGIC);
     w.put_u32(SNAPSHOT_VERSION);
-    let total = HEADER_BYTES + config.len() + state.len() + 8;
-    w.put_u32(total as u32);
-    w.put_u64(xxh64(config, DIGEST_SEED));
+    // Total length (4), config digest (8), tag, config length (4): the
+    // zeroed fields are patched below.
+    w.put_block(12);
     w.put_u8(tag);
-    w.put_u32(config.len() as u32);
-    w.put_bytes(config);
-    w.put_bytes(state);
-    let checksum = xxh64(w.as_slice(), CHECKSUM_SEED);
-    w.put_u64(checksum);
-    w.into_bytes()
+    w.put_u32(0);
+    config(&mut w);
+    let config_end = w.len();
+    state(&mut w);
+    let mut bytes = w.into_bytes();
+    let total = (bytes.len() + 8) as u32;
+    let digest = xxh64(&bytes[HEADER_BYTES..config_end], DIGEST_SEED);
+    let config_len = (config_end - HEADER_BYTES) as u32;
+    bytes[8..12].copy_from_slice(&total.to_le_bytes());
+    bytes[12..20].copy_from_slice(&digest.to_le_bytes());
+    bytes[21..HEADER_BYTES].copy_from_slice(&config_len.to_le_bytes());
+    let checksum = xxh64(&bytes, CHECKSUM_SEED);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    *out = bytes;
 }
 
 /// Validate the envelope and split it into `(config, state)` sections.
@@ -220,6 +246,15 @@ where
     qf.vague_part().inner().shape().write(w);
 }
 
+/// Bytes [`write_filter_state`] appends: the two RNG states and five
+/// stats counters, then the candidate slots and the sketch state.
+fn filter_state_len<S>(qf: &QuantileFilter<S>) -> usize
+where
+    S: WeightSketch + SketchState,
+{
+    7 * 8 + qf.candidate_part().state_len() + qf.vague_part().inner().shape().state_len()
+}
+
 /// Write a filter's mutable state (slots, counters, RNGs, stats).
 fn write_filter_state<S>(qf: &QuantileFilter<S>, w: &mut ByteWriter)
 where
@@ -293,11 +328,22 @@ fn ensure_drained(config: &ByteReader<'_>, state: &ByteReader<'_>) -> Result<(),
 impl<S: WeightSketch + SketchState> QuantileFilter<S> {
     /// Serialize the complete filter state into the versioned envelope.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut config = ByteWriter::new();
-        write_filter_config(self, &mut config);
-        let mut state = ByteWriter::new();
-        write_filter_state(self, &mut state);
-        seal(TAG_FILTER, config.as_slice(), state.as_slice())
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`Self::snapshot`] into a caller-owned buffer: `out` is cleared and
+    /// receives the same bytes, reusing its allocation. A checkpointer that
+    /// hands back its previous envelope seals without allocating.
+    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
+        seal_into(
+            out,
+            TAG_FILTER,
+            filter_state_len(self),
+            |w| write_filter_config(self, w),
+            |w| write_filter_state(self, w),
+        );
     }
 
     /// Rebuild a filter from [`Self::snapshot`] bytes. The restored filter
@@ -320,16 +366,26 @@ impl<C: SketchCounter, P: ResizePolicy> EpochFilter<C, P> {
     /// arbitrary state; [`Self::restore`] takes a fresh one.
     pub fn snapshot(&self) -> Vec<u8> {
         let (filter, criteria, seed, epoch_len, items, memory, epochs) = self.snapshot_parts();
-        let mut config = ByteWriter::new();
-        w_epoch_config(&mut config, epoch_len, filter);
-        let mut state = ByteWriter::new();
-        write_criteria(&criteria, &mut state);
-        state.put_u64(seed);
-        state.put_u64(items);
-        state.put_u64(memory);
-        state.put_u64(epochs);
-        write_filter_state(filter, &mut state);
-        seal(TAG_EPOCH, config.as_slice(), state.as_slice())
+        let mut out = Vec::new();
+        seal_into(
+            &mut out,
+            TAG_EPOCH,
+            // Criteria (three f64s) and four u64 counters, then the filter.
+            7 * 8 + filter_state_len(filter),
+            |w| {
+                w.put_u64(epoch_len);
+                write_filter_config(filter, w);
+            },
+            |w| {
+                write_criteria(&criteria, w);
+                w.put_u64(seed);
+                w.put_u64(items);
+                w.put_u64(memory);
+                w.put_u64(epochs);
+                write_filter_state(filter, w);
+            },
+        );
+        out
     }
 
     /// Rebuild from [`Self::snapshot`] bytes, resuming mid-epoch with the
@@ -360,29 +416,24 @@ impl<C: SketchCounter, P: ResizePolicy> EpochFilter<C, P> {
     }
 }
 
-// Free function (not a closure) so the generic filter type parameter is
-// explicit at the call site.
-fn w_epoch_config<C: SketchCounter>(
-    w: &mut ByteWriter,
-    epoch_len: u64,
-    filter: &QuantileFilter<qf_sketch::CountSketch<C>>,
-) {
-    w.put_u64(epoch_len);
-    write_filter_config(filter, w);
-}
-
 impl<S: WeightSketch + SketchState> MultiCriteriaFilter<S> {
     /// Serialize the criteria list and the wrapped filter.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut config = ByteWriter::new();
-        config.put_u32(self.criteria().len() as u32);
-        for c in self.criteria() {
-            write_criteria(c, &mut config);
-        }
-        write_filter_config(self.inner(), &mut config);
-        let mut state = ByteWriter::new();
-        write_filter_state(self.inner(), &mut state);
-        seal(TAG_MULTI, config.as_slice(), state.as_slice())
+        let mut out = Vec::new();
+        seal_into(
+            &mut out,
+            TAG_MULTI,
+            filter_state_len(self.inner()),
+            |w| {
+                w.put_u32(self.criteria().len() as u32);
+                for c in self.criteria() {
+                    write_criteria(c, w);
+                }
+                write_filter_config(self.inner(), w);
+            },
+            |w| write_filter_state(self.inner(), w),
+        );
+        out
     }
 
     /// Rebuild from [`Self::snapshot`] bytes.
@@ -458,6 +509,30 @@ mod tests {
     fn snapshot_is_deterministic() {
         let qf = warm_filter();
         assert_eq!(qf.snapshot(), qf.snapshot());
+    }
+
+    #[test]
+    fn snapshot_into_overwrites_any_previous_contents() {
+        let qf = warm_filter();
+        let want = qf.snapshot();
+        for stale in [
+            Vec::new(),
+            vec![0xAB; 3],
+            vec![0xCD; want.len()],
+            vec![0xEF; 10 * want.len()],
+        ] {
+            let mut out = stale;
+            qf.snapshot_into(&mut out);
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn state_len_is_the_written_length() {
+        let qf = warm_filter();
+        let mut state = ByteWriter::new();
+        write_filter_state(&qf, &mut state);
+        assert_eq!(filter_state_len(&qf), state.len());
     }
 
     #[test]
@@ -588,7 +663,14 @@ mod tests {
             width: u64::MAX,
         }
         .write(&mut config);
-        let bytes = seal(TAG_FILTER, config.as_slice(), &[]);
+        let mut bytes = Vec::new();
+        seal_into(
+            &mut bytes,
+            TAG_FILTER,
+            0,
+            |w| w.put_bytes(config.as_slice()),
+            |_| {},
+        );
         let err = QuantileFilter::<CountSketch<i8>>::restore(&bytes).unwrap_err();
         assert!(matches!(err, QfError::CorruptSnapshot { .. }), "{err:?}");
     }

@@ -47,6 +47,16 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// Write into `buf` from its start, keeping its allocation: the buffer
+    /// is cleared and at least `capacity` bytes are reserved, so an encoder
+    /// that knows its output size allocates at most once (and not at all
+    /// when `buf` is a previous output of the same size).
+    pub fn reuse(mut buf: Vec<u8>, capacity: usize) -> Self {
+        buf.clear();
+        buf.reserve(capacity);
+        Self { buf }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -72,14 +82,19 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Append `len` zero bytes and return them for in-place encoding. The
+    /// bulk path for arrays of fixed-width records: the caller encodes
+    /// every record into the block, paying one length update for the whole
+    /// array instead of one per field.
+    pub fn put_block(&mut self, len: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + len, 0);
+        &mut self.buf[start..]
+    }
+
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Append a `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u32`.
@@ -92,11 +107,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an `i32`.
-    pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append an `i64`.
     pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -105,13 +115,6 @@ impl ByteWriter {
     /// Append an `f64` as its IEEE-754 bit pattern (byte-exact round-trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Append the low `width` bytes of `v` (two's complement). Used for
-    /// narrow sketch counters, whose cell width is 1–8 bytes.
-    pub fn put_int_narrow(&mut self, v: i64, width: usize) {
-        debug_assert!((1..=8).contains(&width));
-        self.buf.extend_from_slice(&v.to_le_bytes()[..width]);
     }
 }
 
@@ -153,12 +156,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.get_bytes(1)?[0])
     }
 
-    /// Read a `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        let b = self.get_bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Read a `u32`.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         let b = self.get_bytes(4)?;
@@ -171,12 +168,6 @@ impl<'a> ByteReader<'a> {
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
         Ok(u64::from_le_bytes(a))
-    }
-
-    /// Read an `i32`.
-    pub fn get_i32(&mut self) -> Result<i32, WireError> {
-        let b = self.get_bytes(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read an `i64`.
@@ -193,7 +184,9 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a `width`-byte two's-complement integer, sign-extended to
-    /// `i64` — the inverse of [`ByteWriter::put_int_narrow`].
+    /// `i64` — the inverse of writing an integer's low `width`
+    /// little-endian bytes, which is how narrow sketch counters (1–8
+    /// bytes per cell) are stored.
     pub fn get_int_narrow(&mut self, width: usize) -> Result<i64, WireError> {
         if !(1..=8).contains(&width) {
             return Err(WireError::Invalid("counter width out of range"));
@@ -215,10 +208,8 @@ mod tests {
     fn roundtrip_all_widths() {
         let mut w = ByteWriter::new();
         w.put_u8(0xAB);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_i32(-12345);
         w.put_i64(-987_654_321_000);
         w.put_f64(-2.5e-300);
         w.put_bytes(b"tail");
@@ -226,14 +217,26 @@ mod tests {
 
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.get_i32().unwrap(), -12345);
         assert_eq!(r.get_i64().unwrap(), -987_654_321_000);
         assert_eq!(r.get_f64().unwrap(), -2.5e-300);
         assert_eq!(r.get_bytes(4).unwrap(), b"tail");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn reuse_and_block_write_in_place() {
+        let mut w = ByteWriter::reuse(vec![0xEE; 100], 16);
+        assert!(w.is_empty(), "reuse starts from an empty buffer");
+        w.put_u8(7);
+        w.put_block(6)
+            .chunks_exact_mut(3)
+            .enumerate()
+            .for_each(|(i, rec)| rec.copy_from_slice(&[i as u8; 3]));
+        w.put_u8(9);
+        assert_eq!(w.as_slice(), &[7, 0, 0, 0, 1, 1, 1, 9]);
+        assert!(w.put_block(0).is_empty());
     }
 
     #[test]
@@ -251,7 +254,7 @@ mod tests {
         let mut r = ByteReader::new(&[1, 2, 3]);
         assert_eq!(r.get_u64(), Err(WireError::Truncated));
         // Cursor untouched by the failed read's partial progress guard.
-        assert_eq!(r.get_u16().unwrap(), 0x0201);
+        assert_eq!(r.get_bytes(2).unwrap(), &[1, 2]);
         assert_eq!(r.get_u32(), Err(WireError::Truncated));
         assert_eq!(r.get_u8().unwrap(), 3);
         assert_eq!(r.get_u8(), Err(WireError::Truncated));
@@ -263,11 +266,8 @@ mod tests {
             let lo = i64::MIN >> (8 * (8 - width));
             let hi = i64::MAX >> (8 * (8 - width));
             for v in [lo, -1, 0, 1, hi] {
-                let mut w = ByteWriter::new();
-                w.put_int_narrow(v, width);
-                let bytes = w.into_bytes();
-                assert_eq!(bytes.len(), width);
-                let got = ByteReader::new(&bytes).get_int_narrow(width).unwrap();
+                let bytes = &v.to_le_bytes()[..width];
+                let got = ByteReader::new(bytes).get_int_narrow(width).unwrap();
                 assert_eq!(got, v, "width {width} value {v}");
             }
         }

@@ -125,9 +125,11 @@ pub fn render_record(record: FpRecord) -> String {
          # `fingerprint` is FNV-1a over the normalized wire-format sources\n\
          # ({}).\n\
          # If it drifts while `version` matches SNAPSHOT_VERSION, the\n\
-         # encoding changed without a version bump. After a legitimate\n\
-         # change: bump SNAPSHOT_VERSION if the bytes changed, then run\n\
-         # `cargo xtask lint --bless` to re-record.\n\
+         # encoding may have changed without a version bump. The bytes\n\
+         # themselves are pinned by tests/snapshot_golden.rs: if that\n\
+         # corpus still passes, the change was a byte-identical rewrite.\n\
+         # After a legitimate change: bump SNAPSHOT_VERSION if the bytes\n\
+         # changed, then run `cargo xtask lint --bless` to re-record.\n\
          version = {}\n\
          fingerprint = {:#018x}\n",
         WIRE_FORMAT_SOURCES.join(", "),

@@ -460,8 +460,8 @@ pub fn check_fingerprint(
         if source_version == stored_version {
             return Some(format!(
                 "wire-format sources changed (fingerprint {computed:#018x} != recorded {stored_fp:#018x}) \
-                 but SNAPSHOT_VERSION is still {stored_version}; bump it if the encoding changed, \
-                 then run `cargo xtask lint --bless`"
+                 but SNAPSHOT_VERSION is still {stored_version}; bump it if the encoding changed \
+                 (tests/snapshot_golden.rs fails when the bytes do), then run `cargo xtask lint --bless`"
             ));
         }
         return Some(format!(

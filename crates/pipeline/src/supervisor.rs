@@ -378,20 +378,18 @@ pub(crate) struct Recovered {
 }
 
 impl RecoveryInner {
-    /// Journal one applied item. Called by the worker inside its batch
-    /// commit, after the generation check.
-    pub(crate) fn append(&mut self, key: u64, value: f64) {
-        self.applied += 1;
-        self.journal.push_back(JournalEntry {
-            seq: self.applied,
-            key,
-            value,
-        });
+    /// Journal a slab of applied items, in order. Called by the worker
+    /// inside its batch commit, after the generation check.
+    pub(crate) fn append(&mut self, items: &[(u64, f64)]) {
+        let first = self.applied + 1;
+        self.applied += items.len() as u64;
+        let entries = items.iter().zip(first..);
+        self.journal
+            .extend(entries.map(|(&(key, value), seq)| JournalEntry { seq, key, value }));
         // Unreachable by construction (seals prune faster than the cap),
         // but a bounded journal must stay bounded regardless.
-        if self.journal.len() > self.journal_cap {
-            self.journal.pop_front();
-        }
+        let excess = self.journal.len().saturating_sub(self.journal_cap);
+        self.journal.drain(..excess);
     }
 
     /// Checkpoints sealed so far (the chaos seal ordinal).
@@ -410,20 +408,26 @@ impl RecoveryInner {
     }
 
     /// Seal a checkpoint of `filter` (whose state must equal the journal
-    /// head, i.e. call this only at a batch boundary). Cold by contract:
-    /// runs once per `checkpoint_interval` items, never per item.
+    /// head, i.e. call this only at a batch boundary). Runs once per
+    /// `checkpoint_interval` items, never per item. The new envelope is
+    /// encoded into the standby slot's old buffer, so after the first two
+    /// seals a seal allocates nothing.
     pub(crate) fn seal_checkpoint(
         &mut self,
         shard: usize,
         filter: &QuantileFilter,
         chaos: Option<&ArmedChaos>,
     ) {
-        let mut bytes = filter.snapshot();
+        let standby = 1 - self.latest;
+        let mut bytes = self.slots[standby]
+            .take()
+            .map(|old| old.bytes)
+            .unwrap_or_default();
+        filter.snapshot_into(&mut bytes);
         self.seals += 1;
         if let Some(ch) = chaos {
             ch.corrupt_checkpoint(shard, self.seals, &mut bytes);
         }
-        let standby = 1 - self.latest;
         self.slots[standby] = Some(Checkpoint {
             seq: self.applied,
             bytes,
@@ -558,7 +562,7 @@ mod tests {
         for &(k, v) in items {
             let _ = filter.insert(&k, v);
             let mut inner = rec.lock();
-            inner.append(k, v);
+            inner.append(&[(k, v)]);
             if inner.due_seal(interval) {
                 inner.seal_checkpoint(0, filter, None);
             }
@@ -595,6 +599,36 @@ mod tests {
         // The rebuilt filter is byte-identical to the live one.
         assert_eq!(recovered.filter.snapshot(), filter.snapshot());
         assert_eq!(inner.generation, 1);
+    }
+
+    #[test]
+    fn seal_encodes_into_the_standby_buffer() {
+        let rec = ShardRecovery::new(16, 16);
+        let mut filter = build();
+        drive(&rec, &mut filter, &workload(32), 16);
+        let mut inner = rec.lock();
+        assert_eq!(inner.seals(), 2, "both slots hold a checkpoint");
+        let standby = 1 - inner.latest;
+        let old = inner.slots[standby].as_ref().map(|c| c.bytes.as_ptr());
+        inner.seal_checkpoint(0, &filter, None);
+        let latest = inner.slots[inner.latest].as_ref();
+        assert_eq!(inner.latest, standby);
+        assert_eq!(latest.map(|c| c.bytes.as_ptr()), old, "no new allocation");
+        assert_eq!(latest.map(|c| c.bytes.clone()), Some(filter.snapshot()));
+    }
+
+    #[test]
+    fn slab_append_numbers_and_bounds_the_journal() {
+        // cap = 2 × (interval + burst) = 12 entries.
+        let rec = ShardRecovery::new(4, 2);
+        let mut inner = rec.lock();
+        let items: Vec<(u64, f64)> = (0..20).map(|i| (i, i as f64)).collect();
+        inner.append(&items[..5]);
+        inner.append(&items[5..]);
+        assert_eq!(inner.applied, 20);
+        let seqs: Vec<u64> = inner.journal.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (9..=20).collect::<Vec<_>>(), "newest 12, in order");
+        assert!(inner.journal.iter().all(|e| e.key + 1 == e.seq));
     }
 
     #[test]
@@ -661,7 +695,7 @@ mod tests {
         assert_eq!(recovered.recovered_seq, 0);
         assert_eq!(inner.applied, 0);
         // The lineage restarts cleanly: new appends journal from seq 1.
-        inner.append(1, 1.0);
+        inner.append(&[(1, 1.0)]);
         assert_eq!(inner.applied, 1);
     }
 
@@ -816,7 +850,7 @@ mod tests {
                         thread::spawn(move || {
                             let mut inner = rec.lock();
                             if inner.generation == 0 {
-                                inner.append(1, 1.0);
+                                inner.append(&[(1, 1.0)]);
                             }
                         })
                     };
@@ -854,7 +888,7 @@ mod tests {
                         // hold, append under another.
                         let gen_then = rec.lock().generation;
                         if gen_then == 0 {
-                            rec.lock().append(1, 1.0);
+                            rec.lock().append(&[(1, 1.0)]);
                         }
                     })
                 };

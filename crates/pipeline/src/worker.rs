@@ -370,9 +370,7 @@ pub(crate) fn run_supervised(
                             filter,
                         };
                     }
-                    for &(key, value) in items {
-                        inner.append(key, value);
-                    }
+                    inner.append(items);
                     inner.reports += slab_reports;
                     if inner.due_seal(sup.checkpoint_interval) {
                         inner.seal_checkpoint(shard, &filter, sup.chaos.as_ref());

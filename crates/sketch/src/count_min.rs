@@ -10,7 +10,9 @@
 //! measures the real design the paper compared against.
 
 use crate::counter::SketchCounter;
-use crate::snapshot::{SketchShape, SketchState, SKETCH_KIND_CMS};
+use crate::snapshot::{
+    read_seeds_and_cells, write_seeds_and_cells, SketchShape, SketchState, SKETCH_KIND_CMS,
+};
 use crate::traits::WeightSketch;
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
 use qf_hash::{HashFamily, RowLanes, StreamKey};
@@ -129,12 +131,7 @@ impl<C: SketchCounter> SketchState for CountMinSketch<C> {
     }
 
     fn write_state(&self, w: &mut ByteWriter) {
-        for &seed in self.family.seeds() {
-            w.put_u64(seed);
-        }
-        for cell in &self.cells {
-            w.put_int_narrow(cell.to_i64(), C::BYTES);
-        }
+        write_seeds_and_cells(self.family.seeds(), &self.cells, w);
     }
 
     fn from_state(shape: SketchShape, r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -145,16 +142,7 @@ impl<C: SketchCounter> SketchState for CountMinSketch<C> {
             return Err(WireError::Invalid("sketch counter width mismatch"));
         }
         let (rows, width) = shape.checked_dims()?;
-        let mut seeds = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            seeds.push(r.get_u64()?);
-        }
-        let family = HashFamily::from_seeds(seeds, width)
-            .ok_or(WireError::Invalid("degenerate hash family"))?;
-        let mut cells = Vec::with_capacity(rows * width);
-        for _ in 0..rows * width {
-            cells.push(C::zero().saturating_add_i64(r.get_int_narrow(C::BYTES)?));
-        }
+        let (family, cells) = read_seeds_and_cells(rows, width, r)?;
         Ok(Self {
             cells,
             family,

@@ -10,7 +10,9 @@
 //! makes the estimator unbiased (Theorem 1).
 
 use crate::counter::SketchCounter;
-use crate::snapshot::{SketchShape, SketchState, SKETCH_KIND_CS};
+use crate::snapshot::{
+    read_seeds_and_cells, write_seeds_and_cells, SketchShape, SketchState, SKETCH_KIND_CS,
+};
 use crate::traits::{median_in_place, WeightSketch};
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
 use qf_hash::{HashFamily, RowLanes, StreamKey};
@@ -197,12 +199,7 @@ impl<C: SketchCounter> SketchState for CountSketch<C> {
     }
 
     fn write_state(&self, w: &mut ByteWriter) {
-        for &seed in self.family.seeds() {
-            w.put_u64(seed);
-        }
-        for cell in &self.cells {
-            w.put_int_narrow(cell.to_i64(), C::BYTES);
-        }
+        write_seeds_and_cells(self.family.seeds(), &self.cells, w);
     }
 
     fn from_state(shape: SketchShape, r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -216,18 +213,7 @@ impl<C: SketchCounter> SketchState for CountSketch<C> {
         if rows > MAX_DEPTH {
             return Err(WireError::Invalid("sketch depth out of range"));
         }
-        let mut seeds = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            seeds.push(r.get_u64()?);
-        }
-        let family = HashFamily::from_seeds(seeds, width)
-            .ok_or(WireError::Invalid("degenerate hash family"))?;
-        let mut cells = Vec::with_capacity(rows * width);
-        for _ in 0..rows * width {
-            // The narrow read yields values already within C's range, so
-            // the saturating conversion is exact.
-            cells.push(C::zero().saturating_add_i64(r.get_int_narrow(C::BYTES)?));
-        }
+        let (family, cells) = read_seeds_and_cells(rows, width, r)?;
         Ok(Self {
             cells,
             family,

@@ -8,7 +8,9 @@
 //! is covered by the config digest, state lives in the state section. Both
 //! are integrity-checked by the whole-file checksum.
 
+use crate::counter::SketchCounter;
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
+use qf_hash::HashFamily;
 
 /// Wire tag for [`crate::CountSketch`].
 pub const SKETCH_KIND_CS: u8 = 1;
@@ -68,6 +70,64 @@ impl SketchShape {
         }
         Ok((self.rows as usize, self.width as usize))
     }
+
+    /// Bytes [`SketchState::write_state`] appends for a sketch of this
+    /// shape: one `u64` seed per row, then `counter_bytes` per cell.
+    /// Saturates instead of overflowing on absurd shapes; writers use it
+    /// only to size their buffer.
+    pub fn state_len(&self) -> usize {
+        let cells = self.rows.saturating_mul(self.width);
+        let bytes = self
+            .rows
+            .saturating_mul(8)
+            .saturating_add(cells.saturating_mul(u64::from(self.counter_bytes)));
+        usize::try_from(bytes).unwrap_or(usize::MAX)
+    }
+}
+
+/// Append a sketch's state section — its row seeds, then every cell's low
+/// `C::BYTES` bytes (two's complement) in row-major order. Both the Count
+/// sketch and the Count-Min sketch write exactly this; the cells go down
+/// as one block, so an `i8` grid encodes at copy speed.
+pub(crate) fn write_seeds_and_cells<C: SketchCounter>(
+    seeds: &[u64],
+    cells: &[C],
+    w: &mut ByteWriter,
+) {
+    for &seed in seeds {
+        w.put_u64(seed);
+    }
+    let block = w.put_block(cells.len() * C::BYTES);
+    for (dst, cell) in block.chunks_exact_mut(C::BYTES).zip(cells) {
+        dst.copy_from_slice(&cell.to_i64().to_le_bytes()[..C::BYTES]);
+    }
+}
+
+/// Inverse of [`write_seeds_and_cells`] for a validated `rows × width`
+/// shape: the hash family rebuilt from the row seeds, and the cell grid.
+/// Never panics: malformed input surfaces as a [`WireError`].
+pub(crate) fn read_seeds_and_cells<C: SketchCounter>(
+    rows: usize,
+    width: usize,
+    r: &mut ByteReader<'_>,
+) -> Result<(HashFamily, Vec<C>), WireError> {
+    let mut seeds = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        seeds.push(r.get_u64()?);
+    }
+    let family =
+        HashFamily::from_seeds(seeds, width).ok_or(WireError::Invalid("degenerate hash family"))?;
+    let cells = r
+        .get_bytes(rows * width * C::BYTES)?
+        .chunks_exact(C::BYTES)
+        // The narrow read yields values already within C's range, so the
+        // saturating conversion is exact.
+        .map(|low| {
+            let v = ByteReader::new(low).get_int_narrow(C::BYTES)?;
+            Ok(C::zero().saturating_add_i64(v))
+        })
+        .collect::<Result<_, WireError>>()?;
+    Ok((family, cells))
 }
 
 /// A sketch that can be persisted into and restored from a snapshot.
@@ -124,6 +184,39 @@ mod tests {
         for k in 0u64..200 {
             assert_eq!(restored.estimate(&k), cms.estimate(&k));
         }
+    }
+
+    fn written_len<S: SketchState>(sketch: &S) -> usize {
+        let mut w = ByteWriter::new();
+        sketch.write_state(&mut w);
+        w.len()
+    }
+
+    #[test]
+    fn state_len_is_the_written_length() {
+        assert_eq!(
+            CountSketch::<i8>::new(3, 100, 1).shape().state_len(),
+            written_len(&CountSketch::<i8>::new(3, 100, 1))
+        );
+        assert_eq!(
+            CountSketch::<i16>::new(2, 7, 1).shape().state_len(),
+            written_len(&CountSketch::<i16>::new(2, 7, 1))
+        );
+        assert_eq!(
+            CountMinSketch::<i32>::new(4, 9, 1).shape().state_len(),
+            written_len(&CountMinSketch::<i32>::new(4, 9, 1))
+        );
+        assert_eq!(
+            CountMinSketch::<i64>::new(1, 5, 1).shape().state_len(),
+            written_len(&CountMinSketch::<i64>::new(1, 5, 1))
+        );
+        let absurd = SketchShape {
+            kind: SKETCH_KIND_CS,
+            counter_bytes: 8,
+            rows: u64::MAX,
+            width: u64::MAX,
+        };
+        assert_eq!(absurd.state_len(), usize::MAX);
     }
 
     #[test]
