@@ -46,22 +46,6 @@ pub trait OutstandingDetector {
     /// detector's state for the key has been reset per Definition 4).
     fn insert(&mut self, key: u64, value: f64) -> bool;
 
-    /// Process a batch of items in order, appending each reported key to
-    /// `reported` (one entry per report, in report order — duplicates are
-    /// the caller's to handle, matching the per-item `insert` contract).
-    ///
-    /// The default simply loops [`Self::insert`]; detectors with a native
-    /// batch path (QuantileFilter's prefetching `insert_batch`) override it
-    /// with a behaviorally identical but faster implementation. The method
-    /// is object-safe, so `Box<dyn OutstandingDetector>` banks keep working.
-    fn insert_batch(&mut self, items: &[(u64, f64)], reported: &mut Vec<u64>) {
-        for &(key, value) in items {
-            if self.insert(key, value) {
-                reported.push(key);
-            }
-        }
-    }
-
     /// Current structure size in bytes (the paper's memory axis). For
     /// fixed-size sketches this is the configured budget; for growing
     /// structures (exact, SQUAD, HistSketch heavy part) it is live usage.

@@ -94,11 +94,6 @@ impl<S: WeightSketch> OutstandingDetector for QfDetector<S> {
         self.inner.insert(&key, value).is_some()
     }
 
-    fn insert_batch(&mut self, items: &[(u64, f64)], reported: &mut Vec<u64>) {
-        self.inner
-            .insert_batch(items, &mut |i, _report| reported.push(items[i].0));
-    }
-
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
     }

@@ -12,7 +12,7 @@
 //! small memory.
 
 use crate::OutstandingDetector;
-use qf_quantiles::{GkSummary, QuantileSummary};
+use qf_quantiles::GkSummary;
 use qf_sketch::SpaceSaving;
 use quantile_filter::Criteria;
 use std::collections::HashMap;

@@ -1,34 +1,28 @@
-//! Hot-path throughput harness: current one-pass insert vs. the
-//! reconstructed pre-refactor flow, plus sharded-ingest thread scaling.
+//! Hot-path throughput harness: the scalar `insert` against the batched
+//! `insert_batch` of one filter.
 //!
 //! ```text
 //! cargo run -p qf-bench --release --bin hotpath -- \
 //!     [--tiny] [--out PATH] [--repeats N] [--items N] [--seed S]
 //! ```
 //!
-//! Measures, on Zipf and CAIDA-shaped (internet-like) traces:
-//!
-//! * single-thread Mops/s of the legacy three-query insert, the current
-//!   scalar `insert`, and the batched `insert_batch` (identical report
-//!   decisions by construction — the run aborts if they ever differ);
-//! * `ShardedDetector::run_parallel` throughput at 1/2/4/8 workers.
+//! Measures single-thread Mops/s of both paths on Zipf, CAIDA-shaped
+//! (internet-like) and many-keys Zipf traces. The two paths make
+//! identical report decisions by construction, and the run exits non-zero
+//! if their report counts ever differ.
 //!
 //! Writes the results as `BENCH_hotpath.json` (schema documented on
 //! `qf_bench::hotpath::render_json`). `--tiny` is the CI smoke mode:
 //! 50K-item traces, one repeat, same schema.
 
 use qf_bench::hotpath::{
-    measure_batch, measure_legacy, measure_scalar, measure_sharded, HotpathDims, HotpathReport,
-    SingleThread, ThreadPoint, WorkloadResult,
+    measure_batch, measure_scalar, HotpathDims, HotpathReport, WorkloadResult,
 };
 use qf_bench::pipeline::detect_nproc;
 use qf_datasets::{internet_like, zipf_dataset, Dataset, InternetConfig, ZipfConfig};
 use quantile_filter::Criteria;
 
 const BATCH_CHUNK: usize = 4096;
-const SHARDS: usize = 8;
-const SHARD_MEMORY: usize = 32 * 1024;
-const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
 
 fn usage() -> ! {
     eprintln!("usage: hotpath [--tiny] [--out PATH] [--repeats N] [--items N] [--seed S]");
@@ -51,68 +45,31 @@ fn measure_workload(
     let dims = HotpathDims::paper_32k(seed);
     let pairs: Vec<(u64, f64)> = dataset.items.iter().map(|it| (it.key, it.value)).collect();
 
-    let legacy = measure_legacy(criteria, &dims, &pairs, repeats);
     let scalar = measure_scalar(criteria, &dims, &pairs, repeats);
     let batch = measure_batch(criteria, &dims, &pairs, BATCH_CHUNK, repeats);
-    if legacy.reports != scalar.reports || scalar.reports != batch.reports {
+    if scalar.reports != batch.reports {
         eprintln!(
-            "report-count divergence on {short_name}: legacy={} scalar={} batch={} — \
-             the A/B comparison is not measuring the same filter",
-            legacy.reports, scalar.reports, batch.reports
+            "report-count divergence on {short_name}: scalar={} batch={} — \
+             the two paths are not running the same filter",
+            scalar.reports, batch.reports
         );
         std::process::exit(1);
     }
     println!(
-        "{short_name}: single-thread legacy {:.2} Mops | scalar {:.2} Mops ({:.2}x) | \
-         batch {:.2} Mops ({:.2}x) | {} reports",
-        legacy.mops(),
+        "{short_name}: scalar {:.2} Mops | batch {:.2} Mops ({:.2}x) | {} reports",
         scalar.mops(),
-        scalar.mops() / legacy.mops(),
         batch.mops(),
-        batch.mops() / legacy.mops(),
+        batch.mops() / scalar.mops(),
         batch.reports,
     );
-
-    let mut sharded = Vec::new();
-    for threads in THREAD_POINTS {
-        let m = measure_sharded(
-            criteria,
-            SHARD_MEMORY,
-            SHARDS,
-            threads,
-            &dataset.items,
-            repeats,
-        );
-        // Same verdict the pipeline bench attaches: fewer host cores than
-        // effective workers means the point times time-sharing, not
-        // scaling, and the JSON must say so rather than let the curve lie.
-        let oversubscribed = detect_nproc() < m.effective_threads;
-        println!(
-            "{short_name}: sharded x{threads} requested ({} effective) {:.2} Mops, {} reported keys{}",
-            m.effective_threads,
-            m.measurement.mops(),
-            m.measurement.reports,
-            if oversubscribed { " | OVERSUBSCRIBED" } else { "" }
-        );
-        sharded.push(ThreadPoint {
-            threads,
-            effective_threads: m.effective_threads,
-            oversubscribed,
-            measurement: m.measurement,
-        });
-    }
 
     WorkloadResult {
         name: short_name.to_string(),
         items: dataset.items.len(),
         keys: dataset.key_count,
         threshold: dataset.threshold,
-        single: SingleThread {
-            legacy,
-            scalar,
-            batch,
-        },
-        sharded,
+        scalar,
+        batch,
     }
 }
 

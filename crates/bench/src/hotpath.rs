@@ -1,32 +1,21 @@
-//! The hot-path A/B harness behind the `hotpath` bin.
+//! The hot-path harness behind the `hotpath` bin.
 //!
-//! [`LegacyFilter`] reconstructs the pre-refactor insert flow from the
-//! filter's public parts — identical structures, seeds, and Qweight math,
-//! but the old three-query vague-part conversation (`add`, then a
-//! rehashing `estimate`, then a re-deriving `remove_estimate`) and a
-//! fresh `report_threshold()` division at every check. Running it against
-//! [`QuantileFilter::insert`] / [`QuantileFilter::insert_batch`] on the
-//! same trace isolates exactly what the one-pass rewrite bought; the unit
-//! tests below pin the two to identical report decisions, so the
-//! comparison measures the insert flow and nothing else.
+//! It times [`QuantileFilter::insert`] against [`QuantileFilter::insert_batch`]
+//! on the same trace and the same filter. The two paths make bit-identical
+//! report decisions (pinned by the `batch_equivalence` suite), so the
+//! comparison measures the insert flow and nothing else, and any report
+//! count that differs between them is a bug the bin refuses to publish.
 //!
 //! The harness reports best-of-`repeats` wall-clock throughput in Mops/s
 //! (million inserts per second) and renders the whole run as the
 //! `BENCH_hotpath.json` schema documented on [`render_json`].
 
-use qf_baselines::QfDetector;
-use qf_datasets::Item;
-use qf_eval::ShardedDetector;
-use qf_hash::SplitMix64;
-use qf_sketch::{CountSketch, StochasticRounder, WeightSketch};
-use quantile_filter::candidate::{CandidateOutcome, CandidatePart};
-use quantile_filter::vague::VagueKey;
-use quantile_filter::{Criteria, ElectionStrategy, QuantileFilter, QuantileFilterBuilder};
+use quantile_filter::{Criteria, QuantileFilter, QuantileFilterBuilder};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Structure dimensions shared by the legacy baseline and the current
-/// filter, so an A/B run compares code paths over bit-identical state.
+/// Structure dimensions of the measured filter, fixed rather than derived
+/// from a byte budget so every run measures the same geometry.
 #[derive(Debug, Clone, Copy)]
 pub struct HotpathDims {
     /// Candidate buckets `m`.
@@ -37,16 +26,15 @@ pub struct HotpathDims {
     pub vague_depth: usize,
     /// Vague-part counters per row `w`.
     pub vague_width: usize,
-    /// Master seed (hash families, rounder, and election RNG derive from
-    /// it exactly as [`QuantileFilterBuilder`] does).
+    /// Master seed, passed to [`QuantileFilterBuilder::seed`].
     pub seed: u64,
 }
 
 impl HotpathDims {
     /// ≈32 KiB at the paper's 4:1 candidate:vague split with b = 6, d = 3:
     /// 728 × 6 candidate entries (6 B each) plus 3 × 2184 i8 counters.
-    /// Small enough to stay cache-resident, so the A/B difference is
-    /// hashing and arithmetic rather than DRAM.
+    /// Small enough to stay cache-resident, so the scalar/batch difference
+    /// is hashing and arithmetic rather than DRAM.
     pub fn paper_32k(seed: u64) -> Self {
         Self {
             candidate_buckets: 728,
@@ -58,101 +46,14 @@ impl HotpathDims {
     }
 }
 
-/// Build the current filter with exactly the dimensions and derived seeds
-/// the legacy baseline uses.
-pub fn build_current(criteria: Criteria, dims: &HotpathDims) -> QuantileFilter {
+/// Build the filter with exactly the given dimensions and seed.
+fn build_filter(criteria: Criteria, dims: &HotpathDims) -> QuantileFilter {
     QuantileFilterBuilder::new(criteria)
         .candidate_buckets(dims.candidate_buckets)
         .bucket_len(dims.bucket_len)
         .vague_dims(dims.vague_depth, dims.vague_width)
         .seed(dims.seed)
         .build()
-}
-
-/// The pre-refactor QuantileFilter insert flow, rebuilt from public parts.
-///
-/// Decision-for-decision equivalent to [`QuantileFilter::insert`] when
-/// constructed with the same [`HotpathDims`] (same hash seeds, same
-/// rounder and election RNG streams), but performing the work the
-/// one-pass rewrite eliminated: per-check `ε/(1−δ)` divisions, a full
-/// row-rehashing `estimate` after every vague `add`, and a third
-/// estimate-re-deriving sketch query on reports and elections.
-pub struct LegacyFilter {
-    criteria: Criteria,
-    candidate: CandidatePart,
-    vague: CountSketch<i8>,
-    strategy: ElectionStrategy,
-    rounder: StochasticRounder,
-    rng: SplitMix64,
-}
-
-impl LegacyFilter {
-    /// Build with the same derived seeds as [`build_current`].
-    pub fn new(criteria: Criteria, dims: &HotpathDims) -> Self {
-        Self {
-            criteria,
-            candidate: CandidatePart::new(dims.candidate_buckets, dims.bucket_len, dims.seed),
-            vague: CountSketch::new(dims.vague_depth, dims.vague_width, dims.seed ^ 0x7A63_5E11),
-            strategy: ElectionStrategy::default(),
-            rounder: StochasticRounder::new(dims.seed ^ 0x5EED_0001),
-            rng: SplitMix64::new(dims.seed ^ 0x5EED_0002),
-        }
-    }
-
-    #[inline]
-    fn meets(&self, qw: i64) -> bool {
-        // Pre-refactor check: the ε/(1−δ) division re-runs at every call.
-        qw as f64 + 1e-9 >= self.criteria.report_threshold()
-    }
-
-    /// The old insert: candidate offer, then on overflow up to three
-    /// separate sketch queries. Returns whether the key was reported.
-    #[inline]
-    pub fn insert(&mut self, key: u64, value: f64) -> bool {
-        if !value.is_finite() {
-            return false;
-        }
-        let delta = self.rounder.round(self.criteria.item_weight(value));
-        let bucket = self.candidate.bucket_of(&key);
-        let fp = self.candidate.fingerprint_of(&key);
-        match self.candidate.offer(bucket, fp, delta) {
-            CandidateOutcome::Updated { qweight } => {
-                if self.meets(qweight) {
-                    self.candidate.reset_entry(bucket, fp);
-                    return true;
-                }
-                false
-            }
-            CandidateOutcome::Inserted => {
-                if self.meets(delta) {
-                    self.candidate.reset_entry(bucket, fp);
-                    return true;
-                }
-                false
-            }
-            CandidateOutcome::BucketFull => {
-                let vk = VagueKey::new(bucket, fp);
-                // Query 1: add (d row hashes). Query 2: estimate (the
-                // same d row hashes all over again).
-                self.vague.add(&vk, delta);
-                let est = self.vague.estimate(&vk);
-                if self.meets(est) {
-                    // Query 3: remove_estimate re-derives the estimate a
-                    // third time before subtracting it.
-                    self.vague.remove_estimate(&vk);
-                    return true;
-                }
-                if let Some((min_fp, min_qw)) = self.candidate.min_entry(bucket) {
-                    if self.strategy.should_replace(est, min_qw, &mut self.rng) {
-                        let pulled = self.vague.remove_estimate(&vk);
-                        self.vague.add(&VagueKey::new(bucket, min_fp), min_qw);
-                        self.candidate.replace(bucket, min_fp, fp, pulled);
-                    }
-                }
-                false
-            }
-        }
-    }
 }
 
 /// One timed ingest run: item count, best wall-clock seconds, reports.
@@ -162,7 +63,7 @@ pub struct Measurement {
     pub items: usize,
     /// Best-of-repeats wall-clock seconds.
     pub seconds: f64,
-    /// Reports (or reported keys, for sharded runs) from the last repeat.
+    /// Reports from the last repeat.
     pub reports: u64,
 }
 
@@ -205,28 +106,7 @@ fn timed<T>(
     }
 }
 
-/// Time the legacy three-query insert flow over `items`.
-pub fn measure_legacy(
-    criteria: Criteria,
-    dims: &HotpathDims,
-    items: &[(u64, f64)],
-    repeats: usize,
-) -> Measurement {
-    timed(
-        items.len(),
-        repeats,
-        || LegacyFilter::new(criteria, dims),
-        |f| {
-            let mut r = 0u64;
-            for &(k, v) in items {
-                r += u64::from(f.insert(k, v));
-            }
-            r
-        },
-    )
-}
-
-/// Time the current one-pass scalar insert over `items`.
+/// Time the scalar [`QuantileFilter::insert`] over `items`.
 pub fn measure_scalar(
     criteria: Criteria,
     dims: &HotpathDims,
@@ -236,7 +116,7 @@ pub fn measure_scalar(
     timed(
         items.len(),
         repeats,
-        || build_current(criteria, dims),
+        || build_filter(criteria, dims),
         |f| {
             let mut r = 0u64;
             for &(k, v) in items {
@@ -260,7 +140,7 @@ pub fn measure_batch(
     timed(
         items.len(),
         repeats,
-        || build_current(criteria, dims),
+        || build_filter(criteria, dims),
         |f| {
             let mut r = 0u64;
             for part in items.chunks(chunk.max(1)) {
@@ -269,79 +149,6 @@ pub fn measure_batch(
             r
         },
     )
-}
-
-/// A sharded timing plus the worker count the bank actually ran with.
-///
-/// `ShardedDetector` clamps the request to the shard count; a scaling
-/// curve that labels points by the *requested* count silently flattens
-/// past the clamp, so the measurement carries the effective value out.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedMeasurement {
-    /// The timed run (`reports` counts distinct reported keys).
-    pub measurement: Measurement,
-    /// Worker threads actually spawned (requested clamped to shards).
-    pub effective_threads: usize,
-}
-
-/// Time [`ShardedDetector::run_parallel`] at a given worker count over a
-/// bank of `shards` paper-default QuantileFilters.
-pub fn measure_sharded(
-    criteria: Criteria,
-    memory_bytes: usize,
-    shards: usize,
-    threads: usize,
-    items: &[Item],
-    repeats: usize,
-) -> ShardedMeasurement {
-    let mut effective = 0usize;
-    let measurement = timed(
-        items.len(),
-        repeats,
-        || {
-            ShardedDetector::new(
-                (0..shards)
-                    .map(|i| QfDetector::paper_default(criteria, memory_bytes, i as u64))
-                    .collect::<Vec<_>>(),
-            )
-        },
-        |bank| {
-            let run = bank.run_parallel_counted(items, threads);
-            effective = run.effective_threads;
-            run.reported.len() as u64
-        },
-    );
-    ShardedMeasurement {
-        measurement,
-        effective_threads: effective,
-    }
-}
-
-/// Single-thread A/B block of one workload.
-#[derive(Debug, Clone, Copy)]
-pub struct SingleThread {
-    /// The reconstructed pre-refactor flow.
-    pub legacy: Measurement,
-    /// Current scalar [`QuantileFilter::insert`].
-    pub scalar: Measurement,
-    /// Current [`QuantileFilter::insert_batch`].
-    pub batch: Measurement,
-}
-
-/// One `run_parallel` scaling point.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadPoint {
-    /// Worker count requested.
-    pub threads: usize,
-    /// Worker count the bank actually used (requested clamped to shards).
-    pub effective_threads: usize,
-    /// `true` when the measuring host had fewer cores than
-    /// `effective_threads`: the point measures time-sharing, not scaling,
-    /// and must not be read as scaling data (same verdict the pipeline
-    /// bench attaches to its points).
-    pub oversubscribed: bool,
-    /// The timed run (`reports` counts distinct reported keys).
-    pub measurement: Measurement,
 }
 
 /// All measurements taken on one trace.
@@ -355,10 +162,10 @@ pub struct WorkloadResult {
     pub keys: u64,
     /// Value threshold `T` used by the criteria.
     pub threshold: f64,
-    /// Single-thread A/B numbers.
-    pub single: SingleThread,
-    /// Sharded-ingest scaling points.
-    pub sharded: Vec<ThreadPoint>,
+    /// Scalar [`QuantileFilter::insert`].
+    pub scalar: Measurement,
+    /// [`QuantileFilter::insert_batch`].
+    pub batch: Measurement,
 }
 
 /// A full harness run, renderable as `BENCH_hotpath.json`.
@@ -388,92 +195,47 @@ fn num(x: f64) -> String {
 ///
 /// ```json
 /// {
-///   "schema": "qf-bench-hotpath/v3",
+///   "schema": "qf-bench-hotpath/v4",
 ///   "mode": "full",            // or "tiny" (CI smoke)
-///   "nproc": 1,                // cores on the measuring host
+///   "nproc": 2,                // cores on the measuring host
 ///   "repeats": 3,              // best-of repeats per number
 ///   "batch_chunk": 4096,
 ///   "workloads": [{
-///     "name": "zipf", "items": 2000000, "keys": 120000, "threshold": 300.0,
-///     "single_thread": {
-///       "legacy_mops": 10.0,   // pre-refactor three-query flow
-///       "scalar_mops": 14.0,   // current insert()
-///       "batch_mops": 16.0,    // current insert_batch()
-///       "scalar_speedup_vs_legacy": 1.4,
-///       "batch_speedup_vs_legacy": 1.6,
-///       "batch_speedup_vs_scalar": 1.14,
-///       "reports": 1234        // identical across all three by construction
-///     },
-///     "sharded": [
-///       {"threads": 1, "effective_threads": 1, "oversubscribed": false,
-///        "mops": 9.0, "reported_keys": 77},
-///       ...
-///     ]
+///     "name": "zipf", "items": 2000000, "keys": 93269, "threshold": 300.0,
+///     "scalar_mops": 14.0,     // insert()
+///     "batch_mops": 16.0,      // insert_batch()
+///     "batch_speedup_vs_scalar": 1.14,
+///     "reports": 1234          // identical on both paths by construction
 ///   }]
 /// }
 /// ```
 ///
-/// v2 added `effective_threads` per sharded point: the bank clamps the
-/// requested worker count to its shard count, and with the clamp visible
-/// a flat tail in the scaling curve is distinguishable from a host that
-/// simply has fewer cores than shards (`nproc`).
-///
-/// v3 adds two honesty fields. `oversubscribed` per sharded point marks
-/// measurements where the host had fewer cores than the effective worker
-/// count — those points measure time-sharing, not scaling, and consumers
-/// must not fit scaling curves through them (the pipeline bench attaches
-/// the same verdict to its points). `batch_speedup_vs_scalar` in the
-/// single-thread block states the batched path's gain over the *current*
-/// scalar insert directly, so the batch win is no longer only readable as
-/// a ratio of two legacy-relative speedups.
+/// v4 drops v3's `legacy_*` fields and `sharded` points: the harness
+/// times only the two insert paths, and multi-core scaling is the
+/// pipeline bench's subject.
 pub fn render_json(report: &HotpathReport) -> String {
-    let mut out = String::with_capacity(4096);
+    let mut out = String::with_capacity(2048);
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"qf-bench-hotpath/v3\",\n");
+    out.push_str("  \"schema\": \"qf-bench-hotpath/v4\",\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", report.mode));
     out.push_str(&format!("  \"nproc\": {},\n", report.nproc));
     out.push_str(&format!("  \"repeats\": {},\n", report.repeats));
     out.push_str(&format!("  \"batch_chunk\": {},\n", report.batch_chunk));
     out.push_str("  \"workloads\": [\n");
     for (i, w) in report.workloads.iter().enumerate() {
-        let s = &w.single;
-        let (legacy, scalar, batch) = (s.legacy.mops(), s.scalar.mops(), s.batch.mops());
+        let (scalar, batch) = (w.scalar.mops(), w.batch.mops());
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": \"{}\",\n", w.name));
         out.push_str(&format!("      \"items\": {},\n", w.items));
         out.push_str(&format!("      \"keys\": {},\n", w.keys));
         out.push_str(&format!("      \"threshold\": {},\n", num(w.threshold)));
-        out.push_str("      \"single_thread\": {\n");
-        out.push_str(&format!("        \"legacy_mops\": {},\n", num(legacy)));
-        out.push_str(&format!("        \"scalar_mops\": {},\n", num(scalar)));
-        out.push_str(&format!("        \"batch_mops\": {},\n", num(batch)));
+        out.push_str(&format!("      \"scalar_mops\": {},\n", num(scalar)));
+        out.push_str(&format!("      \"batch_mops\": {},\n", num(batch)));
         out.push_str(&format!(
-            "        \"scalar_speedup_vs_legacy\": {},\n",
-            num(if legacy > 0.0 { scalar / legacy } else { 0.0 })
-        ));
-        out.push_str(&format!(
-            "        \"batch_speedup_vs_legacy\": {},\n",
-            num(if legacy > 0.0 { batch / legacy } else { 0.0 })
-        ));
-        out.push_str(&format!(
-            "        \"batch_speedup_vs_scalar\": {},\n",
+            "      \"batch_speedup_vs_scalar\": {},\n",
             num(if scalar > 0.0 { batch / scalar } else { 0.0 })
         ));
-        out.push_str(&format!("        \"reports\": {}\n", s.batch.reports));
-        out.push_str("      },\n");
-        out.push_str("      \"sharded\": [\n");
-        for (j, p) in w.sharded.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"threads\": {}, \"effective_threads\": {}, \"oversubscribed\": {}, \"mops\": {}, \"reported_keys\": {}}}{}\n",
-                p.threads,
-                p.effective_threads,
-                p.oversubscribed,
-                num(p.measurement.mops()),
-                p.measurement.reports,
-                if j + 1 < w.sharded.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]\n");
+        out.push_str(&format!("      \"reports\": {}\n", w.batch.reports));
         out.push_str(&format!(
             "    }}{}\n",
             if i + 1 < report.workloads.len() {
@@ -490,6 +252,7 @@ pub fn render_json(report: &HotpathReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qf_hash::SplitMix64;
 
     fn criteria() -> Criteria {
         match Criteria::new(5.0, 0.9, 100.0) {
@@ -514,37 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_filter_matches_current_decisions_item_for_item() {
-        // The baseline is only a fair baseline if it is the same filter:
-        // same per-item report decisions over a collision-heavy trace.
-        let dims = HotpathDims {
-            candidate_buckets: 32,
-            bucket_len: 2,
-            vague_depth: 3,
-            vague_width: 512,
-            seed: 0xA11CE,
-        };
-        let c = criteria();
-        let mut legacy = LegacyFilter::new(c, &dims);
-        let mut current = build_current(c, &dims);
-        let items = trace(40_000, 2_000, 7);
-        let mut reports = 0u64;
-        for (i, &(k, v)) in items.iter().enumerate() {
-            let a = legacy.insert(k, v);
-            let b = current.insert(&k, v).is_some();
-            assert_eq!(a, b, "decision divergence at item {i} (key {k})");
-            reports += u64::from(a);
-        }
-        assert!(reports > 10, "only {reports} reports — trace too tame");
-        assert!(
-            current.stats().vague_visits > 10_000,
-            "vague path barely exercised"
-        );
-        assert!(current.stats().exchanges > 0, "no elections exercised");
-    }
-
-    #[test]
-    fn all_three_measurements_agree_on_reports() {
+    fn scalar_and_batch_measurements_agree_on_reports() {
         let dims = HotpathDims {
             candidate_buckets: 64,
             bucket_len: 4,
@@ -554,13 +287,11 @@ mod tests {
         };
         let c = criteria();
         let items = trace(20_000, 1_500, 11);
-        let legacy = measure_legacy(c, &dims, &items, 1);
         let scalar = measure_scalar(c, &dims, &items, 1);
         let batch = measure_batch(c, &dims, &items, 4096, 1);
-        assert!(legacy.reports > 0);
-        assert_eq!(legacy.reports, scalar.reports);
+        assert!(scalar.reports > 0);
         assert_eq!(scalar.reports, batch.reports);
-        assert_eq!(legacy.items, 20_000);
+        assert_eq!(scalar.items, 20_000);
     }
 
     #[test]
@@ -570,36 +301,20 @@ mod tests {
             seconds: 0.001,
             reports: 5,
         };
+        let workload = |name: &str| WorkloadResult {
+            name: name.into(),
+            items: 1000,
+            keys: 100,
+            threshold: 300.0,
+            scalar: m,
+            batch: m,
+        };
         let report = HotpathReport {
             mode: "tiny".into(),
             nproc: 1,
             repeats: 1,
             batch_chunk: 4096,
-            workloads: vec![WorkloadResult {
-                name: "zipf".into(),
-                items: 1000,
-                keys: 100,
-                threshold: 300.0,
-                single: SingleThread {
-                    legacy: m,
-                    scalar: m,
-                    batch: m,
-                },
-                sharded: vec![
-                    ThreadPoint {
-                        threads: 1,
-                        effective_threads: 1,
-                        oversubscribed: false,
-                        measurement: m,
-                    },
-                    ThreadPoint {
-                        threads: 16,
-                        effective_threads: 2,
-                        oversubscribed: true,
-                        measurement: m,
-                    },
-                ],
-            }],
+            workloads: vec![workload("zipf"), workload("internet")],
         };
         let json = render_json(&report);
         for (open, close) in [('{', '}'), ('[', ']')] {
@@ -609,34 +324,18 @@ mod tests {
         }
         for key in [
             "\"schema\"",
-            "\"qf-bench-hotpath/v3\"",
-            "\"legacy_mops\"",
+            "\"qf-bench-hotpath/v4\"",
             "\"scalar_mops\"",
             "\"batch_mops\"",
-            "\"batch_speedup_vs_legacy\"",
-            "\"batch_speedup_vs_scalar\"",
-            "\"sharded\"",
-            "\"threads\": 16, \"effective_threads\": 2, \"oversubscribed\": true",
-            "\"threads\": 1, \"effective_threads\": 1, \"oversubscribed\": false",
+            "\"batch_speedup_vs_scalar\": 1.000",
+            "\"reports\": 5",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
+        assert!(!json.contains("legacy") && !json.contains("sharded"));
         // No trailing commas (the classic hand-rolled-JSON bug).
-        assert!(!json.contains(",\n      ]"));
         assert!(!json.contains(",\n  ]"));
         assert!(!json.contains(",}"));
-    }
-
-    #[test]
-    fn sharded_measurement_exposes_the_clamp() {
-        let items: Vec<Item> = trace(2_000, 200, 3)
-            .into_iter()
-            .map(|(key, value)| Item { key, value })
-            .collect();
-        let m = measure_sharded(criteria(), 8 * 1024, 2, 16, &items, 1);
-        assert_eq!(m.effective_threads, 2, "16 requested over 2 shards");
-        let m = measure_sharded(criteria(), 8 * 1024, 4, 4, &items, 1);
-        assert_eq!(m.effective_threads, 4, "unclamped request passes through");
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! qf-bench: criterion benches, figure-regeneration binaries, the
-//! hot-path A/B harness ([`hotpath`]) that measures the one-pass insert
-//! rewrite against a faithful reconstruction of the pre-refactor flow,
+//! qf-bench: figure-regeneration binaries, the hot-path harness
+//! ([`hotpath`]) that times the scalar insert against the batched one,
 //! the live-pipeline throughput harness ([`pipeline`]), and the
 //! self-healing harness ([`chaos`]) that prices supervision overhead and
 //! restart latency.

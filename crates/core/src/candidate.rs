@@ -62,7 +62,8 @@ const FP_PAD: usize = LANES_PER_WORD - 1;
 /// charged by `memory_bytes`.
 const QW_PAD_VALUE: i32 = i32::MAX;
 
-/// Outcome of offering an item to the candidate part.
+/// Outcome of the scalar reference walk `CandidatePart::offer` (tests only).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateOutcome {
     /// The key's fingerprint matched; its Qweight is now the payload.
@@ -76,8 +77,8 @@ pub enum CandidateOutcome {
     BucketFull,
 }
 
-/// Outcome of the fused walk [`CandidatePart::offer_or_min`]. Identical to
-/// [`CandidateOutcome`] except that the bucket-full case carries the
+/// Outcome of offering an item to the candidate part with
+/// [`CandidatePart::offer_or_min`]. The bucket-full case carries the
 /// bucket's minimum entry, discovered during the same pass over the slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OfferOutcome {
@@ -239,13 +240,13 @@ impl CandidatePart {
     }
 
     /// Hint-prefetch a bucket's fingerprint and Qweight lines ahead of
-    /// [`Self::offer`] — used by the batch ingest path, which hashes a whole
-    /// chunk before applying it. Out-of-range buckets are ignored rather
-    /// than prefetched: the chunked pipeline prefetches one item ahead, and
-    /// at the batch tail the "next" coordinates can be one past the live
-    /// range — a hint pointing past the allocation is architecturally
-    /// harmless but is a bounds bug waiting for a non-hint rewrite, so it is
-    /// guarded here.
+    /// [`Self::offer_or_min`] — used by the batch ingest path, which hashes
+    /// a whole chunk before applying it. Out-of-range buckets are ignored
+    /// rather than prefetched: the chunked pipeline prefetches one item
+    /// ahead, and at the batch tail the "next" coordinates can be one past
+    /// the live range — a hint pointing past the allocation is
+    /// architecturally harmless but is a bounds bug waiting for a non-hint
+    /// rewrite, so it is guarded here.
     #[inline(always)]
     pub fn prefetch(&self, bucket: usize) {
         if bucket >= self.buckets {
@@ -400,10 +401,10 @@ impl CandidatePart {
     /// Offer an item with integer weight `delta`. Implements steps 4–8 of
     /// Algorithm 2: match-and-update, or fill-a-hole, or report bucket-full.
     ///
-    /// Deliberately a plain scalar walk: this is the entry point the A/B
-    /// legacy baseline reconstructs the pre-fusion flow from, so it must not
-    /// silently inherit the SWAR scan (see [`Self::offer_or_min`] for the
-    /// vectorized hot path).
+    /// Deliberately a plain scalar walk over every slot: the unit tests use
+    /// it as the reference the SWAR [`Self::offer_or_min`] must agree with,
+    /// so it must not share that scan.
+    #[cfg(test)]
     pub fn offer(&mut self, bucket: usize, fp: u16, delta: i64) -> CandidateOutcome {
         let start = bucket * self.bucket_len;
         let mut free: Option<usize> = None;
@@ -429,21 +430,19 @@ impl CandidatePart {
         CandidateOutcome::BucketFull
     }
 
-    /// One-pass variant of [`Self::offer`]: resolves the bucket in one scan
-    /// and, when it is full with no fingerprint match, returns the minimum
-    /// entry found during that same scan — the election (Algorithm 2 lines
-    /// 14–17) then needs no second walk of the bucket. The tie-break matches
-    /// [`Self::min_entry`] exactly: the first minimal entry in slot order.
+    /// Offer an item with integer weight `delta`: steps 4–8 of Algorithm 2
+    /// (match-and-update, or fill-a-hole, or report bucket-full), resolved
+    /// in one scan. When the bucket is full with no fingerprint match, it
+    /// also returns the minimum entry found during that same scan — the
+    /// election (Algorithm 2 lines 14–17) then needs no second walk of the
+    /// bucket. The tie-break matches [`Self::min_entry`] exactly: the first
+    /// minimal entry in slot order.
     ///
     /// On single-word buckets this is the SWAR hot path: one packed compare
     /// per four fingerprints decides match-vs-miss, `trailing_zeros` of the
     /// inverted occupancy word elects the first free slot, and only a full
     /// bucket pays the (branch-light, conditional-move) min scan. Outcomes
     /// and mutations are bit-identical to the scalar walk.
-    ///
-    /// [`Self::offer`] is kept separately (rather than wrapping this) so
-    /// callers that never elect — and A/B baselines reconstructing the
-    /// pre-fusion flow — don't pay for the min tracking.
     #[inline]
     pub fn offer_or_min(&mut self, bucket: usize, fp: u16, delta: i64) -> OfferOutcome {
         let start = bucket * self.bucket_len;

@@ -1,10 +1,11 @@
 //! The three workload generators, each a statistical stand-in for one of
 //! the paper's datasets (substitution rationale in DESIGN.md §4).
 //!
-//! Generation is deterministic in the config seed and parallelized with
-//! crossbeam: the item range is split into chunks, each chunk gets an
-//! independent RNG stream derived from `(seed, chunk_index)`, so the output
-//! is identical regardless of thread count.
+//! Generation is deterministic in the config and parallelized with
+//! crossbeam: the item range is split into chunks of 2^21 items,
+//! one thread each, and each chunk draws from an independent RNG stream
+//! derived from `(seed, chunk_index)`. Chunk boundaries depend only on the
+//! item count, so the output is identical on any number of cores.
 
 use crate::config::{CloudConfig, InternetConfig, ZipfConfig};
 use crate::values::{KeyProfile, LatencyModel};
@@ -54,25 +55,23 @@ impl Dataset {
     }
 }
 
-/// Split `n` into chunks and run `f(chunk_index, start, len)` on scoped
-/// threads, concatenating the per-chunk outputs in order.
-fn parallel_chunks<F>(n: usize, threads: usize, f: F) -> Vec<Item>
+/// Items per generation chunk. Every default and tiny config fits in one
+/// chunk, so those datasets come from a single RNG stream.
+const CHUNK_ITEMS: usize = 1 << 21;
+
+/// Split `n` into [`CHUNK_ITEMS`]-sized chunks and run `f(chunk_index, len)`
+/// for each on scoped threads, concatenating the per-chunk outputs in order.
+fn parallel_chunks<F>(n: usize, f: F) -> Vec<Item>
 where
-    F: Fn(usize, usize, usize) -> Vec<Item> + Sync,
+    F: Fn(usize, usize) -> Vec<Item> + Sync,
 {
-    let threads = threads.max(1);
-    let chunk = n.div_ceil(threads);
-    let mut outputs: Vec<Vec<Item>> = Vec::with_capacity(threads);
+    let mut outputs: Vec<Vec<Item>> = Vec::with_capacity(n.div_ceil(CHUNK_ITEMS));
     let scope_result = crossbeam::scope(|scope| {
         let mut handles = Vec::new();
-        for t in 0..threads {
-            let start = t * chunk;
-            let len = chunk.min(n.saturating_sub(start));
-            if len == 0 {
-                break;
-            }
+        for t in 0..n.div_ceil(CHUNK_ITEMS) {
+            let len = CHUNK_ITEMS.min(n - t * CHUNK_ITEMS);
             let f = &f;
-            handles.push(scope.spawn(move |_| f(t, start, len)));
+            handles.push(scope.spawn(move |_| f(t, len)));
         }
         for h in handles {
             match h.join() {
@@ -85,18 +84,7 @@ where
     if let Err(payload) = scope_result {
         std::panic::resume_unwind(payload);
     }
-    let mut items = Vec::with_capacity(n);
-    for o in outputs {
-        items.extend_from_slice(&o);
-    }
-    items
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
+    outputs.concat()
 }
 
 /// Precompute key profiles for a bounded key space.
@@ -109,7 +97,7 @@ fn profiles(model: &LatencyModel, keys: u64, seed: u64) -> Vec<KeyProfile> {
 pub fn internet_like(cfg: &InternetConfig) -> Dataset {
     let sampler = ZipfSampler::new(cfg.keys, cfg.alpha);
     let profs = profiles(&cfg.model, cfg.keys, cfg.seed);
-    let items = parallel_chunks(cfg.items, default_threads(), |t, _start, len| {
+    let items = parallel_chunks(cfg.items, |t, len| {
         let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ (t as u64) << 32));
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
@@ -129,7 +117,7 @@ pub fn cloud_like(cfg: &CloudConfig) -> Dataset {
     let core_sampler = ZipfSampler::new(cfg.core_keys, cfg.core_alpha);
     let core_profs = profiles(&cfg.model, cfg.core_keys, cfg.seed);
     let tail_keys = ((cfg.items as f64 * cfg.tail_key_fraction) as u64).max(1);
-    let items = parallel_chunks(cfg.items, default_threads(), |t, _start, len| {
+    let items = parallel_chunks(cfg.items, |t, len| {
         let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ (t as u64) << 32 ^ 0xC1));
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
@@ -158,7 +146,7 @@ pub fn zipf_dataset(cfg: &ZipfConfig) -> Dataset {
         cfg.value_model.component_ranks,
         cfg.value_model.component_alpha,
     );
-    let items = parallel_chunks(cfg.items, default_threads(), |t, _start, len| {
+    let items = parallel_chunks(cfg.items, |t, len| {
         let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ (t as u64) << 32 ^ 0x21));
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
@@ -255,5 +243,46 @@ mod tests {
         let a = zipf_dataset(&ZipfConfig::tiny());
         let b = zipf_dataset(&ZipfConfig::tiny());
         assert_eq!(a.items[..100], b.items[..100]);
+    }
+
+    /// Order-sensitive digest of every key and value bit.
+    fn digest(items: &[Item]) -> u64 {
+        items.iter().fold(0x9E37_79B9_7F4A_7C15, |acc, it| {
+            qf_hash::mix64(acc ^ it.key).wrapping_add(it.value.to_bits())
+        })
+    }
+
+    #[test]
+    fn tiny_datasets_match_committed_digests() {
+        // The single-stream output of each tiny config. A generator that
+        // splits the stream by core count changes every digest on a
+        // multi-core host.
+        let got = [
+            digest(&zipf_dataset(&ZipfConfig::tiny()).items),
+            digest(&internet_like(&InternetConfig::tiny()).items),
+            digest(&cloud_like(&CloudConfig::tiny()).items),
+        ];
+        let want = [
+            0x2438_d0c4_0480_7675,
+            0x0f83_ac6f_27d0_ceab,
+            0x3ab0_b439_b9bb_3723,
+        ];
+        assert_eq!(got, want, "dataset generation changed: {got:#018x?}");
+    }
+
+    #[test]
+    fn chunks_are_cut_by_item_count() {
+        let items = parallel_chunks(CHUNK_ITEMS + 3, |t, len| {
+            vec![
+                Item {
+                    key: t as u64,
+                    value: 0.0
+                };
+                len
+            ]
+        });
+        assert_eq!(items.len(), CHUNK_ITEMS + 3);
+        assert!(items[..CHUNK_ITEMS].iter().all(|it| it.key == 0));
+        assert!(items[CHUNK_ITEMS..].iter().all(|it| it.key == 1));
     }
 }

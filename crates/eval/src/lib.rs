@@ -16,14 +16,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod concurrent;
 pub mod figures;
 pub mod metrics;
 pub mod pipeline;
 pub mod runner;
 pub mod telemetry_sidecar;
 
-pub use concurrent::{ParallelRun, ShardedDetector};
 pub use metrics::Accuracy;
 pub use pipeline::{PipelineDetector, PipelineRun};
 pub use runner::{ground_truth, run_detector, RunResult};

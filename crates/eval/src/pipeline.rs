@@ -2,13 +2,12 @@
 //! differential/equivalence suites exercise the concurrent system with
 //! the same workloads and comparisons as the batch detectors.
 //!
-//! [`PipelineDetector`] deliberately mirrors the shape of
-//! [`ShardedDetector::run_parallel`](crate::ShardedDetector): feed a
-//! trace, get back the deduplicated reported-key set. Both route with
-//! `qf_pipeline::shard_of` and seed shard `i` with `base_seed + i`, so a
-//! `ShardedDetector` over `QfDetector::paper_default(criteria, mem, i)`
-//! shards is the exact serial reference for a pipeline with `seed: 0` —
-//! the equivalence the `pipeline_equivalence` test pins.
+//! [`PipelineDetector`] has the eval harness's shape: feed a trace, get
+//! back the deduplicated reported-key set. It seeds shard `i` with
+//! `base_seed + i`, so routing each item with `qf_pipeline::shard_of` to
+//! one of `shards` `QfDetector::paper_default(criteria, mem, i)` filters
+//! in a single thread is the exact serial reference for a pipeline with
+//! `seed: 0`, the equivalence the `pipeline_equivalence` test pins.
 
 use qf_datasets::Item;
 use qf_pipeline::{
@@ -34,7 +33,7 @@ pub struct PipelineRun {
 }
 
 impl PipelineDetector {
-    /// Lossless configuration matching the eval harness's sharded setup:
+    /// Lossless configuration matching the serial reference (module docs):
     /// `shards` filters of `memory_bytes_per_shard` each, shard `i`
     /// seeded with `i`, blocking backpressure.
     pub fn paper_default(criteria: Criteria, shards: usize, memory_bytes_per_shard: usize) -> Self {

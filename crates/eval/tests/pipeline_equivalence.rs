@@ -1,17 +1,17 @@
-//! Differential suite: the live concurrent pipeline against the batch
-//! sharded harness.
+//! Differential suite: the live concurrent pipeline against a serial
+//! reference.
 //!
-//! Both systems route keys with `qf_pipeline::shard_of` and seed shard
-//! `i`'s filter with `i`, so over the same trace their per-shard item
-//! streams are identical. The contract ([`PipelineDetector`] docs, and
-//! the issue's acceptance bar): for 1/2/4/8 shards, the concurrent
-//! pipeline's reported key set equals single-threaded `ShardedDetector`
-//! routing — regardless of how the OS interleaves the worker threads.
+//! The reference routes every item with `qf_pipeline::shard_of` to one of
+//! a `Vec<QfDetector>` and seeds shard `i`'s filter with `i`, exactly as
+//! the pipeline does, so over the same trace the per-shard item streams
+//! are identical. The contract ([`PipelineDetector`] docs): for 1/2/4/8
+//! shards, the concurrent pipeline's reported key set equals the serial
+//! reference's, regardless of how the OS interleaves the worker threads.
 
-use qf_baselines::QfDetector;
+use qf_baselines::{OutstandingDetector, QfDetector};
 use qf_datasets::{zipf_dataset, Item, ZipfConfig};
-use qf_eval::{PipelineDetector, ShardedDetector};
-use qf_pipeline::SupervisorConfig;
+use qf_eval::PipelineDetector;
+use qf_pipeline::{shard_of, SupervisorConfig};
 use quantile_filter::Criteria;
 use std::collections::HashSet;
 
@@ -24,16 +24,14 @@ fn criteria(threshold: f64) -> Criteria {
 
 const SHARD_MEMORY: usize = 32 * 1024;
 
-/// Single-threaded serial routing over the same shard bank geometry.
+/// Single-threaded serial routing over the same shard geometry.
 fn serial_reference(items: &[Item], threshold: f64, shards: usize) -> HashSet<u64> {
-    let bank = ShardedDetector::new(
-        (0..shards)
-            .map(|i| QfDetector::paper_default(criteria(threshold), SHARD_MEMORY, i as u64))
-            .collect::<Vec<_>>(),
-    );
+    let mut bank: Vec<QfDetector> = (0..shards)
+        .map(|i| QfDetector::paper_default(criteria(threshold), SHARD_MEMORY, i as u64))
+        .collect();
     let mut reported = HashSet::new();
     for it in items {
-        if bank.insert(it.key, it.value) {
+        if bank[shard_of(it.key, shards)].insert(it.key, it.value) {
             reported.insert(it.key);
         }
     }
@@ -90,25 +88,4 @@ fn supervised_pipeline_reports_equal_serial_sharded_routing() {
         assert_eq!(run.summary.processed, run.summary.enqueued);
         assert!(run.summary.recoveries.is_empty());
     }
-}
-
-#[test]
-fn pipeline_agrees_with_run_parallel() {
-    // Transitivity check against the batch path actually used by the
-    // benches: run_parallel over the same bank must also agree.
-    let data = zipf_dataset(&ZipfConfig::tiny());
-    let shards = 4;
-    let bank = ShardedDetector::new(
-        (0..shards)
-            .map(|i| QfDetector::paper_default(criteria(data.threshold), SHARD_MEMORY, i as u64))
-            .collect::<Vec<_>>(),
-    );
-    let batch = bank.run_parallel_counted(&data.items, shards);
-    assert_eq!(batch.effective_threads, shards);
-    let detector = PipelineDetector::paper_default(criteria(data.threshold), shards, SHARD_MEMORY);
-    let live = match detector.run(&data.items) {
-        Ok(r) => r,
-        Err(e) => panic!("pipeline run: {e}"),
-    };
-    assert_eq!(live.reported, batch.reported);
 }

@@ -2,18 +2,18 @@
 //!
 //! The paper's deployments are single-writer — one switch/FPGA pipeline
 //! owns the structure. This crate keeps that model while scaling across
-//! cores, by promoting the eval harness's hash sharding into a production
-//! subsystem: a single-threaded router partitions keys over per-shard
-//! worker threads (each owning a private [`quantile_filter::QuantileFilter`])
-//! connected by bounded, hand-rolled SPSC ring queues that carry
+//! cores by hash sharding: a single-threaded router partitions keys over
+//! per-shard worker threads (each owning a private
+//! [`quantile_filter::QuantileFilter`]) connected by bounded, hand-rolled
+//! SPSC ring queues that carry
 //! fixed-capacity item *slabs* — one ring slot per slab, so the Lamport
 //! and wake handshakes amortize over `slab_capacity` items and each slab
 //! drains through the fused `insert_batch` hot path. Per-key state
 //! never crosses a shard boundary, so the reported key set is identical
 //! to single-threaded execution over the same per-shard item order — the
-//! equivalence the stress suite pins against `ShardedDetector`.
+//! equivalence the stress suite and qf-eval's `pipeline_equivalence` pin.
 //!
-//! What the pipeline adds over the batch harness:
+//! What the pipeline adds over feeding sharded filters from one thread:
 //!
 //! * **Online ingest** — items are routed as they arrive
 //!   ([`Pipeline::ingest`]), not pre-partitioned from a slice.
@@ -88,10 +88,11 @@ pub use supervisor::{CrashCause, RecoveredBase, RecoveryRecord, ShardState, Supe
 
 use quantile_filter::QfError;
 
-/// The shard a key routes to, shared by this crate's router and
-/// `qf-eval`'s `ShardedDetector` so their per-shard item streams are
-/// identical — the foundation of the equivalence guarantee. The `0x5AAD`
-/// tweak decorrelates routing from the filters' own key hashing.
+/// The shard a key routes to, used by this crate's router and by every
+/// serial reference the equivalence suites compare it against, so their
+/// per-shard item streams are identical — the foundation of the
+/// equivalence guarantee. The `0x5AAD` tweak decorrelates routing from
+/// the filters' own key hashing.
 #[inline]
 pub fn shard_of(key: u64, shards: usize) -> usize {
     (qf_hash::mix64(key ^ 0x5AAD) % shards as u64) as usize

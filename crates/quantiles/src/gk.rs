@@ -11,7 +11,17 @@
 //! the per-item detect loop of the SQUAD baseline slow compared to
 //! QuantileFilter's O(1) test.
 
-use crate::{clamp_q, QuantileSummary};
+/// Clamp a quantile argument into `[0, 1)` the way Definition 2 requires.
+#[inline]
+fn clamp_q(q: f64) -> f64 {
+    if q < 0.0 {
+        0.0
+    } else if q >= 1.0 {
+        0.999_999_999
+    } else {
+        q
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -55,6 +65,58 @@ impl GkSummary {
     /// Number of stored tuples (the space the structure actually uses).
     pub fn tuple_count(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Insert one observation.
+    pub fn insert(&mut self, value: f64) {
+        debug_assert!(!value.is_nan());
+        self.count += 1;
+        // Find the first entry with entry.value > value.
+        let pos = self.entries.partition_point(|e| e.value <= value);
+        let delta = if pos == 0 || pos == self.entries.len() {
+            // New minimum or maximum: exact rank.
+            0
+        } else {
+            self.threshold().saturating_sub(1)
+        };
+        self.entries.insert(pos, Entry { value, g: 1, delta });
+        self.inserts_since_compress += 1;
+        // Compress every ⌈1/(2ε)⌉ inserts as in the original algorithm.
+        let period = (1.0 / (2.0 * self.epsilon)).ceil() as u64;
+        if self.inserts_since_compress >= period {
+            self.compress();
+            self.inserts_since_compress = 0;
+        }
+    }
+
+    /// Number of observations inserted.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Approximate `q`-quantile (`q ∈ [0, 1)`), or `None` if empty.
+    ///
+    /// Follows the paper's Definition 2: the item whose rank is `⌊q·n⌋`
+    /// in the sorted order, within `εn`.
+    pub fn query(&self, q: f64) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        // Definition 2 uses 0-based ⌊q·n⌋; GK ranks are 1-based.
+        let rank = (clamp_q(q) * self.count as f64).floor() as u64 + 1;
+        self.query_rank(rank.min(self.count))
+    }
+
+    /// Reset to empty.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.count = 0;
+        self.inserts_since_compress = 0;
+    }
+
+    /// Approximate heap footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.entries.capacity() * core::mem::size_of::<Entry>()
     }
 
     #[inline]
@@ -104,56 +166,6 @@ impl GkSummary {
     }
 }
 
-impl QuantileSummary for GkSummary {
-    fn insert(&mut self, value: f64) {
-        debug_assert!(!value.is_nan());
-        self.count += 1;
-        // Find the first entry with entry.value > value.
-        let pos = self.entries.partition_point(|e| e.value <= value);
-        let delta = if pos == 0 || pos == self.entries.len() {
-            // New minimum or maximum: exact rank.
-            0
-        } else {
-            self.threshold().saturating_sub(1)
-        };
-        self.entries.insert(pos, Entry { value, g: 1, delta });
-        self.inserts_since_compress += 1;
-        // Compress every ⌈1/(2ε)⌉ inserts as in the original algorithm.
-        let period = (1.0 / (2.0 * self.epsilon)).ceil() as u64;
-        if self.inserts_since_compress >= period {
-            self.compress();
-            self.inserts_since_compress = 0;
-        }
-    }
-
-    fn count(&self) -> u64 {
-        self.count
-    }
-
-    fn query(&mut self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        // Definition 2 uses 0-based ⌊q·n⌋; GK ranks are 1-based.
-        let rank = (clamp_q(q) * self.count as f64).floor() as u64 + 1;
-        self.query_rank(rank.min(self.count))
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.count = 0;
-        self.inserts_since_compress = 0;
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.entries.capacity() * core::mem::size_of::<Entry>()
-    }
-
-    fn kind_name(&self) -> &'static str {
-        "GK"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +178,7 @@ mod tests {
 
     /// Check that for all tested quantiles the returned value's true rank is
     /// within eps*n + 1 of the target rank.
-    fn assert_rank_error_bounded(values: &mut [f64], gk: &mut GkSummary, eps: f64) {
+    fn assert_rank_error_bounded(values: &mut [f64], gk: &GkSummary, eps: f64) {
         values.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
         let n = values.len() as f64;
         for &q in &[0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99] {
@@ -189,6 +201,13 @@ mod tests {
     }
 
     #[test]
+    fn clamp_q_bounds() {
+        assert_eq!(clamp_q(-0.5), 0.0);
+        assert_eq!(clamp_q(0.5), 0.5);
+        assert!(clamp_q(1.0) < 1.0);
+    }
+
+    #[test]
     fn exact_for_tiny_streams() {
         let mut gk = GkSummary::new(0.01);
         for v in [5.0, 1.0, 9.0] {
@@ -207,7 +226,7 @@ mod tests {
         for &v in &values {
             gk.insert(v);
         }
-        assert_rank_error_bounded(&mut values, &mut gk, eps);
+        assert_rank_error_bounded(&mut values, &gk, eps);
     }
 
     #[test]
@@ -218,7 +237,7 @@ mod tests {
         for &v in &values {
             gk.insert(v);
         }
-        assert_rank_error_bounded(&mut values, &mut gk, eps);
+        assert_rank_error_bounded(&mut values, &gk, eps);
     }
 
     #[test]
@@ -232,7 +251,7 @@ mod tests {
         for &v in &values {
             gk.insert(v);
         }
-        assert_rank_error_bounded(&mut values, &mut gk, eps);
+        assert_rank_error_bounded(&mut values, &gk, eps);
     }
 
     #[test]
@@ -260,7 +279,7 @@ mod tests {
             gk.insert(v);
             values.push(v);
         }
-        assert_rank_error_bounded(&mut values, &mut gk, eps);
+        assert_rank_error_bounded(&mut values, &gk, eps);
     }
 
     #[test]
@@ -306,7 +325,7 @@ mod tests {
                 gk.insert(v);
             }
             let mut sorted = values.clone();
-            assert_rank_error_bounded(&mut sorted, &mut gk, eps);
+            assert_rank_error_bounded(&mut sorted, &gk, eps);
         }
     }
 }

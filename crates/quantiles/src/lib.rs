@@ -1,103 +1,12 @@
-//! Single-key quantile summaries — the substrate behind the paper's
-//! baselines and the "holistic approach" comparators of §II-B.
+//! The single-key quantile summary behind the SQUAD baseline.
 //!
-//! Every structure here answers rank/quantile queries over one value stream:
-//!
-//! * [`exact`] — a sorted-buffer oracle with zero error, used as ground
-//!   truth by tests and by the exact detector.
-//! * [`gk`] — the Greenwald–Khanna summary (SIGMOD 2001), the
-//!   deterministic ε-approximate summary SQUAD builds on. Queries binary
-//!   search the summary, which is precisely the "offline query" cost the
-//!   paper contrasts with QuantileFilter's constant time.
-//! * [`kll`] — the KLL sketch (Karnin–Lang–Liberty, FOCS 2016), a
-//!   randomized mergeable summary with optimal space.
-//! * [`tdigest`] — Dunning & Ertl's merging t-digest, accurate at the tails.
-//! * [`ddsketch`] — the DDSketch (Masson–Rim–Lee, VLDB 2019) with
-//!   relative-error log-γ buckets; its bucket layout is also reused by the
-//!   SketchPolymer- and HistSketch-style baselines.
-//!
-//! All types implement [`QuantileSummary`] so the baselines can be generic
-//! over the summary engine.
+//! [`gk`] is the Greenwald–Khanna summary (SIGMOD 2001), the
+//! deterministic ε-approximate summary SQUAD attaches to each heavy key.
+//! Queries walk the summary, which is precisely the "offline query" cost
+//! the paper contrasts with QuantileFilter's constant-time test (§II-B).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod ddsketch;
-pub mod exact;
 pub mod gk;
-pub mod kll;
-pub mod qdigest;
-pub mod tdigest;
 
-pub use ddsketch::DdSketch;
-pub use exact::ExactQuantiles;
 pub use gk::GkSummary;
-pub use kll::KllSketch;
-pub use qdigest::QDigest;
-pub use tdigest::TDigest;
-
-/// A summary of a single value stream answering quantile queries.
-pub trait QuantileSummary {
-    /// Insert one observation.
-    fn insert(&mut self, value: f64);
-
-    /// Number of observations inserted.
-    fn count(&self) -> u64;
-
-    /// Approximate `q`-quantile (`q ∈ [0, 1)`), or `None` if empty.
-    ///
-    /// Follows the paper's Definition 2: the item whose rank is
-    /// `⌊q·n⌋` in the sorted order.
-    fn query(&mut self, q: f64) -> Option<f64>;
-
-    /// Reset to empty.
-    fn clear(&mut self);
-
-    /// Approximate heap footprint in bytes.
-    fn memory_bytes(&self) -> usize;
-
-    /// Short name for experiment logs.
-    fn kind_name(&self) -> &'static str;
-}
-
-/// Clamp a quantile argument into `[0, 1)` the way Definition 2 requires.
-#[inline]
-pub(crate) fn clamp_q(q: f64) -> f64 {
-    if q < 0.0 {
-        0.0
-    } else if q >= 1.0 {
-        0.999_999_999
-    } else {
-        q
-    }
-}
-
-/// Target rank for a `q`-quantile over `n` items (Definition 2: `⌊q·n⌋`,
-/// 0-based, clamped to the last index).
-#[inline]
-pub(crate) fn target_rank(q: f64, n: u64) -> u64 {
-    ((clamp_q(q) * n as f64).floor() as u64).min(n.saturating_sub(1))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clamp_q_bounds() {
-        assert_eq!(clamp_q(-0.5), 0.0);
-        assert_eq!(clamp_q(0.5), 0.5);
-        assert!(clamp_q(1.0) < 1.0);
-    }
-
-    #[test]
-    fn target_rank_matches_definition() {
-        // n = 3, q = 0.5 → index 1 (the paper's Figure 1 example: the
-        // 0.5-quantile of {1,5,9} is 5).
-        assert_eq!(target_rank(0.5, 3), 1);
-        // n = 8, q = 0.8 → ⌊6.4⌋ = 6 (the noise example: 7th lowest,
-        // 1-indexed).
-        assert_eq!(target_rank(0.8, 8), 6);
-        // never exceeds n−1
-        assert_eq!(target_rank(0.99, 1), 0);
-    }
-}

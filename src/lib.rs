@@ -7,7 +7,7 @@
 //!   contribution): Qweight, candidate election, criteria flexibility.
 //! * [`qf_sketch`] — Count sketch / Count-Min substrate with saturating
 //!   narrow counters and stochastic rounding.
-//! * [`qf_quantiles`] — GK, KLL, t-digest, DDSketch, exact oracle.
+//! * [`qf_quantiles`] — the Greenwald–Khanna summary behind SQUAD.
 //! * [`qf_baselines`] — exact ground truth, naive dual-Csketch, and the
 //!   SQUAD / SketchPolymer / HistSketch-style comparators.
 //! * [`qf_datasets`] — internet-like / cloud-like / Zipf workload
