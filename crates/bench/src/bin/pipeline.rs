@@ -1,5 +1,5 @@
-//! Live-pipeline throughput harness: offered load vs sustained Mops and
-//! drop rate across shard counts and backpressure policies.
+//! Live-pipeline throughput harness: offered load vs sustained Mops, drop
+//! rate and loss rate across shard counts and backpressure policies.
 //!
 //! ```text
 //! cargo run -p qf-bench --release --bin pipeline -- \
@@ -17,9 +17,11 @@
 //! * drop rate — items shed at the router under the dropping policies
 //!   (always 0 under `block`; the measurement aborts if conservation
 //!   `offered == enqueued + dropped` or `enqueued == processed + shed`
-//!   ever fails).
+//!   ever fails);
+//! * loss rate — items that never reached a filter, router drops plus
+//!   worker sheds: `(offered − processed) / offered`.
 //!
-//! Writes the results as `BENCH_pipeline.json` (schema v2, documented on
+//! Writes the results as `BENCH_pipeline.json` (schema v3, documented on
 //! `qf_bench::pipeline::render_json`). `--tiny` is the CI smoke mode:
 //! the 50K-item trace, one repeat, same schema.
 //!
@@ -156,11 +158,12 @@ fn main() {
             };
             println!(
                 "{:<12} x{shards}: offered {:.2} Mops | sustained {:.2} Mops | \
-                 drop rate {:.4} | {} reported keys{}",
+                 drop rate {:.4} | loss rate {:.4} | {} reported keys{}",
                 m.policy,
                 m.offered_mops(),
                 m.sustained_mops(),
                 m.drop_rate(),
+                m.loss_rate(),
                 m.reported_keys,
                 if m.oversubscribed {
                     " | OVERSUBSCRIBED"

@@ -98,6 +98,15 @@ impl PipelineMeasurement {
         }
         self.dropped as f64 / self.offered as f64
     }
+
+    /// Fraction of offered items that never reached a filter: router
+    /// drops plus worker sheds, `(offered − processed) / offered`.
+    pub fn loss_rate(&self) -> f64 {
+        if self.offered == 0 {
+            return 0.0;
+        }
+        self.offered.saturating_sub(self.processed) as f64 / self.offered as f64
+    }
 }
 
 /// Run `items` through a pipeline built from `config`, `repeats` times,
@@ -221,12 +230,13 @@ fn num(x: f64) -> String {
     }
 }
 
-/// Render the report as the `BENCH_pipeline.json` document (schema v2:
-/// slab-handoff pipeline, with per-point oversubscription tagging):
+/// Render the report as the `BENCH_pipeline.json` document (schema v3:
+/// slab-handoff pipeline, with per-point oversubscription tagging and
+/// `loss_rate`):
 ///
 /// ```json
 /// {
-///   "schema": "qf-bench-pipeline/v2",
+///   "schema": "qf-bench-pipeline/v3",
 ///   "mode": "full",                  // or "tiny" (CI smoke)
 ///   "nproc": 8,                      // cores on the measuring host
 ///   "repeats": 3,                    // best-of repeats per point
@@ -241,7 +251,8 @@ fn num(x: f64) -> String {
 ///     "oversubscribed": false,       // nproc < shards + 1: not scaling data
 ///     "offered_mops": 9.0,           // router-side ingest rate
 ///     "sustained_mops": 8.5,         // filter-applied rate, incl. drain
-///     "drop_rate": 0.0,              // dropped / offered
+///     "drop_rate": 0.0,              // dropped / offered (router only)
+///     "loss_rate": 0.0,              // (offered - processed) / offered
 ///     "offered": 2000000, "enqueued": 2000000, "dropped": 0,
 ///     "processed": 2000000, "shed": 0, "reported_keys": 77
 ///   }, ...]
@@ -250,7 +261,7 @@ fn num(x: f64) -> String {
 pub fn render_json(report: &PipelineBenchReport) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"qf-bench-pipeline/v2\",\n");
+    out.push_str("  \"schema\": \"qf-bench-pipeline/v3\",\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", report.mode));
     out.push_str(&format!("  \"nproc\": {},\n", report.nproc));
     out.push_str(&format!("  \"repeats\": {},\n", report.repeats));
@@ -289,6 +300,7 @@ pub fn render_json(report: &PipelineBenchReport) -> String {
             num(p.sustained_mops())
         ));
         out.push_str(&format!("      \"drop_rate\": {},\n", num(p.drop_rate())));
+        out.push_str(&format!("      \"loss_rate\": {},\n", num(p.loss_rate())));
         out.push_str(&format!("      \"offered\": {},\n", p.offered));
         out.push_str(&format!("      \"enqueued\": {},\n", p.enqueued));
         out.push_str(&format!("      \"dropped\": {},\n", p.dropped));
@@ -388,6 +400,10 @@ mod tests {
         assert_eq!(m.offered, m.enqueued + m.dropped);
         assert_eq!(m.enqueued, m.processed + m.shed);
         assert_eq!(m.policy, "drop_oldest");
+        // The loss counts worker sheds, which `drop_rate` leaves out.
+        let lost = (m.dropped + m.shed) as f64 / m.offered as f64;
+        assert!((m.loss_rate() - lost).abs() < 1e-12, "{m:?}");
+        assert!(m.loss_rate() >= m.drop_rate());
     }
 
     #[test]
@@ -439,7 +455,7 @@ mod tests {
             );
         }
         for key in [
-            "\"qf-bench-pipeline/v2\"",
+            "\"qf-bench-pipeline/v3\"",
             "\"queue_capacity\": 1024",
             "\"slab_capacity\": 256",
             "\"oversubscribed\": true",
@@ -449,6 +465,7 @@ mod tests {
             "\"offered_mops\"",
             "\"sustained_mops\"",
             "\"drop_rate\": 0.250",
+            "\"loss_rate\": 0.250",
             "\"reported_keys\": 7",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
@@ -476,6 +493,15 @@ mod tests {
         assert!((m.offered_mops() - 4.0).abs() < 1e-9);
         assert!((m.sustained_mops() - 1.5).abs() < 1e-9);
         assert!((m.drop_rate() - 0.25).abs() < 1e-9);
+        assert!((m.loss_rate() - 0.25).abs() < 1e-9);
+        let shedding = PipelineMeasurement {
+            dropped: 0,
+            enqueued: 2_000_000,
+            shed: 500_000,
+            ..m
+        };
+        assert_eq!(shedding.drop_rate(), 0.0);
+        assert!((shedding.loss_rate() - 0.25).abs() < 1e-9);
         let zero = PipelineMeasurement {
             ingest_seconds: 0.0,
             total_seconds: 0.0,
@@ -485,5 +511,6 @@ mod tests {
         assert_eq!(zero.offered_mops(), 0.0);
         assert_eq!(zero.sustained_mops(), 0.0);
         assert_eq!(zero.drop_rate(), 0.0);
+        assert_eq!(zero.loss_rate(), 0.0);
     }
 }

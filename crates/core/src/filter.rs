@@ -7,7 +7,7 @@ use crate::error::QfError;
 use crate::strategy::ElectionStrategy;
 use crate::vague::{VagueKey, VaguePart};
 use qf_hash::{HashedKey, RowLanes, SplitMix64, StreamKey};
-use qf_sketch::{CountSketch, StochasticRounder, WeightSketch};
+use qf_sketch::{CountSketch, SplitWeight, StochasticRounder, WeightSketch};
 
 /// Items per chunk of the columnized [`QuantileFilter::insert_batch`]
 /// pipeline. Sized so the chunk's coordinate/delta arrays live in a few
@@ -73,10 +73,10 @@ pub struct QuantileFilter<S: WeightSketch = CountSketch<i8>> {
     rng: SplitMix64,
     stats: FilterStats,
     // Derived from `criteria` whenever it is (re)set, so the default-
-    // criteria ingest paths never re-divide per item. Not serialized:
-    // snapshots restore `criteria` and recompute.
+    // criteria ingest paths never re-divide or `floor` per item. Not
+    // serialized: snapshots restore `criteria` and recompute.
     report_at: f64,
-    weight_above: f64,
+    above: SplitWeight,
 }
 
 impl<S: WeightSketch> QuantileFilter<S> {
@@ -98,7 +98,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
             rng: SplitMix64::new(seed ^ 0x5EED_0002),
             stats: FilterStats::default(),
             report_at: criteria.report_threshold(),
-            weight_above: criteria.weight_above(),
+            above: StochasticRounder::split(criteria.weight_above()),
         }
     }
 
@@ -113,7 +113,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
     pub fn set_default_criteria(&mut self, criteria: Criteria) {
         self.criteria = criteria;
         self.report_at = criteria.report_threshold();
-        self.weight_above = criteria.weight_above();
+        self.above = StochasticRounder::split(criteria.weight_above());
     }
 
     /// Operation statistics since construction or the last [`Self::reset`].
@@ -163,9 +163,8 @@ impl<S: WeightSketch> QuantileFilter<S> {
             crate::telemetry::dropped_non_finite();
             return None;
         }
-        let (threshold, report_at, weight_above) =
-            (self.criteria.threshold(), self.report_at, self.weight_above);
-        self.insert_finite(key, value, threshold, report_at, weight_above)
+        let (threshold, report_at, above) = (self.criteria.threshold(), self.report_at, self.above);
+        self.insert_finite(key, value, threshold, report_at, above)
     }
 
     /// Insert an item under per-item criteria (§III-C first flexibility:
@@ -187,7 +186,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
             value,
             criteria.threshold(),
             criteria.report_threshold(),
-            criteria.weight_above(),
+            StochasticRounder::split(criteria.weight_above()),
         )
     }
 
@@ -203,9 +202,8 @@ impl<S: WeightSketch> QuantileFilter<S> {
             crate::telemetry::rejected_non_finite();
             return Err(QfError::NonFiniteValue { value });
         }
-        let (threshold, report_at, weight_above) =
-            (self.criteria.threshold(), self.report_at, self.weight_above);
-        Ok(self.insert_finite(key, value, threshold, report_at, weight_above))
+        let (threshold, report_at, above) = (self.criteria.threshold(), self.report_at, self.above);
+        Ok(self.insert_finite(key, value, threshold, report_at, above))
     }
 
     /// Fallible insert under per-item criteria: rejects NaN/±∞ with
@@ -225,29 +223,29 @@ impl<S: WeightSketch> QuantileFilter<S> {
             value,
             criteria.threshold(),
             criteria.report_threshold(),
-            criteria.weight_above(),
+            StochasticRounder::split(criteria.weight_above()),
         ))
     }
 
     /// The shared finite-value ingest: callers pass the criteria already
     /// broken into its three hot constants (value threshold, report
-    /// threshold, above-`T` weight) so the default-criteria paths read the
-    /// cached derivations and never divide per item.
+    /// threshold, split above-`T` weight) so the default-criteria paths
+    /// read the cached derivations and never divide or `floor` per item.
     fn insert_finite<K: StreamKey + ?Sized>(
         &mut self,
         key: &K,
         value: f64,
         value_threshold: f64,
         report_at: f64,
-        weight_above: f64,
+        above: SplitWeight,
     ) -> Option<Report> {
         crate::telemetry::insert();
-        let raw = if value > value_threshold {
-            weight_above
+        let weight = if value > value_threshold {
+            above
         } else {
-            -1.0
+            SplitWeight::MINUS_ONE
         };
-        let delta = self.rounder.round(raw);
+        let delta = self.rounder.round_split(weight);
         let hk = self.candidate.coords_of(key);
         self.offer_hashed(hk, delta, report_at)
     }
@@ -399,7 +397,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
         F: FnMut(usize, Report),
     {
         let report_at = self.report_at;
-        let weight_above = self.weight_above;
+        let above = self.above;
         let value_threshold = self.criteria.threshold();
         let mut coords = [HashedKey { bucket: 0, fp: 0 }; INGEST_CHUNK];
         let mut deltas = [0i64; INGEST_CHUNK];
@@ -414,13 +412,13 @@ impl<S: WeightSketch> QuantileFilter<S> {
                     crate::telemetry::insert();
                     let hk = self.candidate.coords_of(key);
                     self.candidate.prefetch(hk.bucket);
-                    let raw = if *value > value_threshold {
-                        weight_above
+                    let weight = if *value > value_threshold {
+                        above
                     } else {
-                        -1.0
+                        SplitWeight::MINUS_ONE
                     };
                     coords[j] = hk;
-                    deltas[j] = self.rounder.round(raw);
+                    deltas[j] = self.rounder.round_split(weight);
                     live[j] = true;
                 } else {
                     crate::telemetry::dropped_non_finite();
@@ -549,7 +547,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
             rng: SplitMix64::from_state(rng_state),
             stats,
             report_at: criteria.report_threshold(),
-            weight_above: criteria.weight_above(),
+            above: StochasticRounder::split(criteria.weight_above()),
         }
     }
 }

@@ -5,10 +5,14 @@
 //! cores by hash sharding: a single-threaded router partitions keys over
 //! per-shard worker threads (each owning a private
 //! [`quantile_filter::QuantileFilter`]) connected by bounded, hand-rolled
-//! SPSC ring queues that carry
-//! fixed-capacity item *slabs* — one ring slot per slab, so the Lamport
-//! and wake handshakes amortize over `slab_capacity` items and each slab
-//! drains through the fused `insert_batch` hot path. Per-key state
+//! SPSC ring queues that carry item *slabs* of up to `slab_capacity`
+//! items — one ring slot per slab, so the Lamport and wake handshakes
+//! amortize over a slab and each slab drains through the fused
+//! `insert_batch` hot path. A slab travels when it fills, or earlier
+//! when [`Pipeline::poll_reports`] finds its shard's queue empty: an idle
+//! worker gets the partial slab, so a polling caller sees reports
+//! without waiting for slabs to fill, while a loaded shard still batches
+//! full slabs. Per-key state
 //! never crosses a shard boundary, so the reported key set is identical
 //! to single-threaded execution over the same per-shard item order — the
 //! equivalence the stress suite and qf-eval's `pipeline_equivalence` pin.

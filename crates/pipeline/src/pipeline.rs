@@ -11,12 +11,14 @@
 //!
 //! The router ([`Pipeline::ingest`], single-threaded by `&mut self`)
 //! hashes each key to its shard with [`crate::shard_of`] and appends it
-//! to that shard's **slab** — a fixed-capacity chunk buffered in the
-//! router. A slab is flushed into the shard's bounded queue as one ring
-//! slot when it fills (and on quiesce, snapshot, [`Pipeline::flush`],
-//! and shutdown), so the Lamport handshake, the park/wake handshake,
-//! and the drop accounting are paid once per slab instead of once per
-//! item. Each worker owns its filter outright — the paper's
+//! to that shard's **slab** — a bounded chunk buffered in the router. A
+//! slab is flushed into the shard's bounded queue as one ring slot when
+//! it fills, when [`Pipeline::poll_reports`] finds the shard's queue
+//! empty (its worker is idle, so the partial slab goes now rather than
+//! waiting to fill), and on quiesce, snapshot, [`Pipeline::flush`], and
+//! shutdown. The Lamport handshake, the park/wake handshake, and the
+//! drop accounting are paid once per slab instead of once per item.
+//! Each worker owns its filter outright — the paper's
 //! single-writer deployment model, preserved per shard — drains each
 //! slab through the fused `insert_batch` hot path, and sends [`Event`]s
 //! into one shared mpsc sink the caller drains with
@@ -133,10 +135,14 @@ pub struct PipelineConfig {
     /// Each slot carries one slab, so the queue buffers up to
     /// `queue_capacity * slab_capacity` items.
     pub queue_capacity: usize,
-    /// Items per slab — the router-side batch handed over per ring slot
-    /// (minimum 1; `1` reproduces the v1 per-item handoff semantics
-    /// bit for bit). Larger slabs amortize the handoff and wake
-    /// handshakes and widen both the shed and the crash-loss granule.
+    /// The maximum slab size: items the router buffers per shard before
+    /// handing them over as one ring slot (minimum 1; `1` reproduces the
+    /// v1 per-item handoff semantics bit for bit). A slab is handed over
+    /// when it is full, at [`Pipeline::flush`], snapshot and shutdown, or
+    /// at a [`Pipeline::poll_reports`] that finds its queue empty, so an
+    /// idle worker gets partial slabs. Larger slabs amortize the handoff
+    /// and wake handshakes under load and widen both the shed and the
+    /// crash-loss granule.
     pub slab_capacity: usize,
     /// Full-queue behavior.
     pub policy: BackpressurePolicy,
@@ -186,7 +192,8 @@ impl PipelineConfig {
 pub enum IngestOutcome {
     /// The item was admitted: it sits in its shard's router slab or on
     /// the shard queue (the slab is an extension of the queue — flushed
-    /// on fill, quiesce, snapshot, [`Pipeline::flush`], and shutdown).
+    /// on fill, at a poll that finds the queue empty, and on quiesce,
+    /// snapshot, [`Pipeline::flush`], and shutdown).
     Enqueued,
     /// The queue was full and the policy shed the *incoming* item
     /// ([`BackpressurePolicy::DropNewest`], or the fairness drop under
@@ -271,7 +278,8 @@ struct ShardHandle {
     queue: Producer<Msg>,
     worker: Option<JoinHandle<WorkerExit>>,
     /// The shard's accumulating slab: admitted items wait here until the
-    /// slab fills (or a flush point), then travel as one ring slot.
+    /// slab fills, a poll finds the queue empty, or a flush point, then
+    /// travel as one ring slot.
     buf: Slab,
     /// Unsupervised only: the worker was observed dead at a flush; all
     /// further items for this shard are rejected without re-probing.
@@ -750,8 +758,9 @@ impl Pipeline {
     }
 
     /// Items currently buffered in `shard`'s router slab, waiting for
-    /// the slab to fill or a flush point. These items are counted as
-    /// enqueued (the slab is an extension of the queue); snapshots and
+    /// the slab to fill, for a [`Self::poll_reports`] that finds the
+    /// shard's queue empty, or for a flush point. These items are counted
+    /// as enqueued (the slab is an extension of the queue); snapshots and
     /// shutdown always flush them first.
     pub fn buffered_len(&self, shard: usize) -> usize {
         self.shards.get(shard).map_or(0, |s| s.buf.len())
@@ -762,6 +771,8 @@ impl Pipeline {
     /// slabs to fill. Items already counted as enqueued are never
     /// dropped here: the flush blocks (recovering through crashes when
     /// supervised) until each slab lands or its shard is down.
+    /// [`Self::poll_reports`] hands over partial slabs without blocking,
+    /// but only to shards whose queue is empty.
     pub fn flush(&mut self) {
         for shard in 0..self.shards.len() {
             self.flush_buffered(shard);
@@ -779,8 +790,10 @@ impl Pipeline {
     ///
     /// The admitted item lands in the shard's router slab; the slab
     /// travels to the worker when it fills (the backpressure policy
-    /// resolves *at that flush*, against the incoming item) or at the
-    /// next quiesce/flush/shutdown point.
+    /// resolves *at that flush*, against the incoming item), at the next
+    /// [`Self::poll_reports`] that finds the shard's queue empty, or at
+    /// the next quiesce/flush/shutdown point. A caller that polls
+    /// therefore sees an idle shard's reports without filling its slab.
     pub fn ingest(&mut self, key: u64, value: f64) -> Result<IngestOutcome, PipelineError> {
         self.offered += 1;
         let shard = shard_of(key, self.shards.len());
@@ -1248,7 +1261,16 @@ impl Pipeline {
 
     /// Drain every report currently available without blocking, in sink
     /// arrival order (per shard: emission order).
+    ///
+    /// First, every shard whose queue is empty — its worker has taken
+    /// every slab and is idle or finishing the last one — is handed its
+    /// partial router slab. That is the freshness contract: while a
+    /// shard's worker is idle, a later poll returns the reports for every
+    /// item ingested before this one, without further ingest. A shard
+    /// whose queue is non-empty keeps filling its slab, so a loaded
+    /// pipeline batches exactly as before.
     pub fn poll_reports(&mut self) -> Vec<ReportEvent> {
+        self.hand_off_idle();
         let mut out: Vec<ReportEvent> = self.pending.drain(..).collect();
         loop {
             match self.events.try_recv() {
@@ -1263,6 +1285,34 @@ impl Pipeline {
             }
         }
         out
+    }
+
+    /// Push each non-empty router slab whose shard queue is empty, without
+    /// blocking. The router is the only producer, so an empty queue has
+    /// room and no backpressure policy applies. A dead consumer — a
+    /// crashed worker, or the closed ring of a down or quarantined shard —
+    /// hands the slab back and it stays buffered: the flush and recovery
+    /// paths own those cases.
+    fn hand_off_idle(&mut self) {
+        for shard in 0..self.shards.len() {
+            let handle = &mut self.shards[shard];
+            if handle.buf.is_empty() || !handle.queue.is_empty() {
+                continue;
+            }
+            let slab = handle.take_buf();
+            match handle.queue.try_push(Msg::Slab(slab)) {
+                Ok(()) => {
+                    if handle.stalled {
+                        self.note_backpressure(shard, false);
+                    }
+                }
+                Err((_, msg)) => {
+                    if let Msg::Slab(slab) = msg {
+                        handle.buf = slab;
+                    }
+                }
+            }
+        }
     }
 
     /// Snapshot all shard filters at a consistent cut *while the pipeline

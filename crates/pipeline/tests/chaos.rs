@@ -474,6 +474,126 @@ fn mid_slab_death_counts_the_whole_slab_as_lost() {
     assert!(!rec.quarantined);
 }
 
+/// A poll hands a partial slab over only when the shard's queue is empty.
+/// With the worker held on slab 1 and slab 2 still queued, the partial
+/// slab stays in the router.
+#[test]
+fn poll_leaves_a_partial_slab_buffered_behind_a_queued_slab() {
+    let slab = 8usize;
+    let mut cfg = config(1, 64, BackpressurePolicy::Block);
+    cfg.slab_capacity = slab;
+    // The worker sleeps before applying slab 1's first item, long enough
+    // to outlast the ingest and poll below even under the interpreter.
+    let plan = ChaosPlan::new().with(Fault::Hang {
+        shard: 0,
+        at_pop: 0,
+        millis: if cfg!(miri) { 2_000 } else { 300 },
+    });
+    // A watchdog far past the hang: this test is about the handoff, not
+    // about hang recovery.
+    let sup = SupervisorConfig {
+        watchdog_deadline: Duration::from_secs(300),
+        ..sup_config(64)
+    };
+    let mut pipe = match Pipeline::launch_chaos(cfg, sup, &plan) {
+        Ok(p) => p,
+        Err(e) => panic!("launch: {e}"),
+    };
+    // Slabs 1 and 2 fill and go to the queue; three more items stay in
+    // the router.
+    let partial = 3;
+    for i in 0..(2 * slab + partial) as u64 {
+        match pipe.ingest(i, 5.0) {
+            Ok(IngestOutcome::Enqueued) => {}
+            other => panic!("ingest {i}: {other:?}"),
+        }
+    }
+    assert_eq!(pipe.buffered_len(0), partial);
+    assert!(pipe.queue_len(0) > 0, "slab 2 waits behind the hang");
+    let got = pipe.poll_reports();
+    assert!(got.is_empty(), "{got:?}");
+    assert_eq!(
+        pipe.buffered_len(0),
+        partial,
+        "a poll must not hand a slab to a shard whose queue is not empty"
+    );
+    let summary = match pipe.shutdown() {
+        Ok(s) => s,
+        Err(e) => panic!("shutdown: {e}"),
+    };
+    assert_conserved(&summary, "poll behind a hang");
+    assert_eq!(summary.processed, (2 * slab + partial) as u64);
+    assert_eq!(summary.restarts, 0, "{:?}", summary.recoveries);
+}
+
+/// A poll can hand a partial slab to a worker that is dying or dead. The
+/// slab either lands in the dying worker's ring, and is counted lost at
+/// the fence, or bounces off the dead ring and stays buffered for the
+/// replacement. Either way the accounting conserves and the replacement
+/// processes everything outside the loss window.
+#[test]
+fn poll_handoff_to_a_dying_worker_conserves() {
+    let slab = 8usize;
+    let mut cfg = config(1, 64, BackpressurePolicy::Block);
+    cfg.slab_capacity = slab;
+    let plan = ChaosPlan::new().with(Fault::Panic {
+        shard: 0,
+        at_pop: 0,
+    });
+    let mut pipe = match Pipeline::launch_chaos(cfg, sup_config(64), &plan) {
+        Ok(p) => p,
+        Err(e) => panic!("launch: {e}"),
+    };
+    let mut key = 0u64;
+    let mut ingest = |pipe: &mut Pipeline, n: usize| {
+        for _ in 0..n {
+            match pipe.ingest(key, 5.0) {
+                Ok(IngestOutcome::Enqueued) => key += 1,
+                other => panic!("ingest {key}: {other:?}"),
+            }
+        }
+    };
+    // A partial slab and a poll: the queue is empty, so the slab goes to
+    // the worker, which panics on its first item.
+    let partial = 3;
+    ingest(&mut pipe, partial);
+    let _ = pipe.poll_reports();
+    assert_eq!(pipe.buffered_len(0), 0, "an empty queue takes the slab");
+    // A second partial slab, polled at once: the worker is dying or dead,
+    // or has not popped the first slab yet.
+    ingest(&mut pipe, partial);
+    let _ = pipe.poll_reports();
+    let in_router = pipe.buffered_len(0);
+    let in_ring = usize::from(in_router == 0);
+    // Wait until the first slab is popped and the unwind has finished.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while pipe.queue_len(0) > in_ring {
+        assert!(std::time::Instant::now() < deadline, "slab never popped");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(if cfg!(miri) { 1_000 } else { 30 }));
+    // The worker is dead now: a poll bounces off its ring and keeps
+    // whatever is buffered.
+    let _ = pipe.poll_reports();
+    assert_eq!(pipe.buffered_len(0), in_router);
+    // Two full slabs: the first flush finds the dead ring and recovers
+    // the shard; the replacement takes the rest.
+    ingest(&mut pipe, 2 * slab);
+    let summary = match pipe.shutdown() {
+        Ok(s) => s,
+        Err(e) => panic!("shutdown: {e}"),
+    };
+    assert_conserved(&summary, "poll handoff to a dying worker");
+    let lost = (partial * (1 + in_ring)) as u64;
+    assert_eq!(summary.lost_to_crash, lost, "{summary:?}");
+    assert_eq!(summary.enqueued, (2 * partial + 2 * slab) as u64);
+    assert_eq!(summary.processed, summary.enqueued - lost);
+    assert_eq!(summary.restarts, 1);
+    let rec = &summary.recoveries[0];
+    assert_eq!(rec.cause, CrashCause::Panic);
+    assert!(!rec.quarantined);
+}
+
 /// Repeated poison redeliveries exhaust the strike budget: the shard is
 /// quarantined, *its* items come back `ShardDown`, and every other shard
 /// keeps accepting — the pipeline degrades instead of dying.

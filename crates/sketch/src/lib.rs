@@ -42,7 +42,7 @@ pub use count_min::CountMinSketch;
 pub use count_sketch::CountSketch;
 pub use counter::SketchCounter;
 pub use invariants::{CheckInvariants, InvariantViolation};
-pub use rounding::StochasticRounder;
+pub use rounding::{SplitWeight, StochasticRounder};
 pub use snapshot::{SketchShape, SketchState, SKETCH_KIND_CMS, SKETCH_KIND_CS};
 pub use space_saving::{SpaceSaving, SsEntry};
 pub use traits::{prefetch_read, WeightSketch};

@@ -10,8 +10,33 @@
 //! [`StochasticRounder`] implements that with a self-contained SplitMix64
 //! stream so results are reproducible from the experiment seed without
 //! pulling a full RNG dependency into the hot path.
+//!
+//! A filter rounds one of two weights per item, both fixed by its
+//! criteria, so it splits each into `⟨⌊w⌋, w − ⌊w⌋⟩` once
+//! ([`StochasticRounder::split`]) and rounds the parts per item
+//! ([`StochasticRounder::round_split`]). The baseline x86-64 target has no
+//! SSE4.1 `roundsd`, so `floor` is a library call; the split keeps it off
+//! the per-item path.
 
 use qf_hash::SplitMix64;
+
+/// A weight split into its floor and its fraction by
+/// [`StochasticRounder::split`], ready to be rounded per item without
+/// recomputing either.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SplitWeight {
+    base: i64,
+    frac: f64,
+}
+
+impl SplitWeight {
+    /// The weight `−1` of a value at or below `T`: exact, so rounding it
+    /// never draws.
+    pub const MINUS_ONE: Self = Self {
+        base: -1,
+        frac: 0.0,
+    };
+}
 
 /// Stateful unbiased rounder: converts `f64` weights into `i64` increments.
 #[derive(Debug, Clone)]
@@ -34,21 +59,38 @@ impl StochasticRounder {
     /// part is always in `[0, 1)`).
     #[inline]
     pub fn round(&mut self, w: f64) -> i64 {
+        self.round_split(Self::split(w))
+    }
+
+    /// Split `w` into `⟨⌊w⌋, w − ⌊w⌋⟩` for [`Self::round_split`]; the
+    /// fraction is in `[0, 1)`.
+    #[inline]
+    pub fn split(w: f64) -> SplitWeight {
         let floor = w.floor();
-        let frac = w - floor; // in [0, 1)
-        let base = floor as i64;
-        if frac == 0.0 {
-            return base;
+        SplitWeight {
+            base: floor as i64,
+            frac: w - floor,
+        }
+    }
+
+    /// Round a split weight with expectation exactly its value. Draws from
+    /// the RNG iff the fraction is non-zero, so `round(w)` and
+    /// `round_split(split(w))` give the same result and leave the same
+    /// RNG state.
+    #[inline]
+    pub fn round_split(&mut self, w: SplitWeight) -> i64 {
+        if w.frac == 0.0 {
+            return w.base;
         }
         // Draw a uniform in [0,1) from 53 random mantissa bits.
         let u = (self.rng.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
-        let up = u < frac;
+        let up = u < w.frac;
         // No-op unless the `telemetry` feature is on; never touches the RNG.
-        crate::telemetry::rounding_event(up, frac);
+        crate::telemetry::rounding_event(up, w.frac);
         if up {
-            base + 1
+            w.base + 1
         } else {
-            base
+            w.base
         }
     }
 
@@ -66,16 +108,6 @@ impl StochasticRounder {
             rng: SplitMix64::from_state(state),
         }
     }
-
-    /// Round a weight that is known to be integral (fast path, no RNG).
-    #[inline(always)]
-    pub fn round_exact(w: f64) -> Option<i64> {
-        if w.fract() == 0.0 && w.abs() < 9.0e18 {
-            Some(w as i64)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,11 +122,29 @@ mod tests {
         assert_eq!(r.round(0.0), 0);
     }
 
+    /// `round` as it was before weights were split: `floor` per call.
+    fn round_unsplit(rng: &mut SplitMix64, w: f64) -> i64 {
+        let floor = w.floor();
+        let frac = w - floor;
+        if frac == 0.0 {
+            return floor as i64;
+        }
+        let u = (rng.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
+        floor as i64 + i64::from(u < frac)
+    }
+
     #[test]
-    fn round_exact_detects_integers() {
-        assert_eq!(StochasticRounder::round_exact(4.0), Some(4));
-        assert_eq!(StochasticRounder::round_exact(-7.0), Some(-7));
-        assert_eq!(StochasticRounder::round_exact(5.5), None);
+    fn split_rounding_matches_unsplit_rounding_draw_for_draw() {
+        assert_eq!(StochasticRounder::split(-1.0), SplitWeight::MINUS_ONE);
+        let weights = [19.0, -1.0, 0.0, 17.0 / 3.0, 2.3, -2.25, 1e6 + 0.125];
+        let mut split = StochasticRounder::new(31);
+        let mut unsplit = SplitMix64::new(31);
+        for i in 0..10_000 {
+            let w = weights[i % weights.len()];
+            let got = split.round_split(StochasticRounder::split(w));
+            assert_eq!(got, round_unsplit(&mut unsplit, w), "{w}");
+            assert_eq!(split.state(), unsplit.state(), "{w}");
+        }
     }
 
     #[test]

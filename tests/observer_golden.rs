@@ -14,8 +14,10 @@
 //!
 //! The assertions run in order of cause, so a failure names what drifted:
 //! first the trace digest (the dataset generator changed), then the report
-//! count and the report-sequence hash (the filter or its instrumentation
-//! changed).
+//! count, the report sequence and its hash (the filter or its
+//! instrumentation changed). The sequence is committed as
+//! `observer_golden_reports.txt`, so a drift prints the first report that
+//! differs rather than only a hash.
 
 use qf_repro::qf_baselines::{OutstandingDetector, QfDetector};
 use qf_repro::qf_datasets::{zipf_dataset, Item, ZipfConfig};
@@ -28,25 +30,45 @@ fn trace_digest(items: &[Item]) -> u64 {
     })
 }
 
-/// Report count and FNV-1a over the (item index, key) pairs of every
-/// report event.
-fn report_sequence(detector: &mut dyn OutstandingDetector, items: &[Item]) -> (u64, u64) {
+/// The (item index, key) pair of every report event, in order.
+fn report_sequence(detector: &mut dyn OutstandingDetector, items: &[Item]) -> Vec<(u64, u64)> {
+    let mut reports = Vec::new();
+    for (i, it) in items.iter().enumerate() {
+        if detector.insert(it.key, it.value) {
+            reports.push((i as u64, it.key));
+        }
+    }
+    reports
+}
+
+/// FNV-1a over the (item index, key) pairs.
+fn sequence_hash(reports: &[(u64, u64)]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fnv = |v: u64| {
-        for b in v.to_le_bytes() {
+    for &(index, key) in reports {
+        for b in index.to_le_bytes().into_iter().chain(key.to_le_bytes()) {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    };
-    let mut reports = 0;
-    for (i, it) in items.iter().enumerate() {
-        if detector.insert(it.key, it.value) {
-            reports += 1;
-            fnv(i as u64);
-            fnv(it.key);
-        }
     }
-    (reports, h)
+    h
+}
+
+/// The committed sequence: `#` comment lines, then one `<index> <key>`
+/// line per report.
+fn golden_sequence() -> Vec<(u64, u64)> {
+    include_str!("observer_golden_reports.txt")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let parsed = line
+                .split_once(' ')
+                .and_then(|(i, k)| Some((i.parse().ok()?, k.parse().ok()?)));
+            match parsed {
+                Some(pair) => pair,
+                None => panic!("malformed golden line {line:?}"),
+            }
+        })
+        .collect()
 }
 
 #[test]
@@ -70,11 +92,24 @@ fn report_sequence_is_identical_in_every_instrumentation_mode() {
         Err(e) => panic!("paper-default criteria: {e}"),
     };
     let mut det = QfDetector::paper_default(criteria, 128 * 1024, 9);
-    let (reports, hash) = report_sequence(&mut det, &ds.items);
+    let reports = report_sequence(&mut det, &ds.items);
     assert_eq!(
-        reports, 628,
-        "instrumentation or filter changed: {reports} reports on an unchanged trace"
+        reports.len(),
+        628,
+        "instrumentation or filter changed: {} reports on an unchanged trace",
+        reports.len()
     );
+    let golden = golden_sequence();
+    let len = reports.len().max(golden.len());
+    if let Some(n) = (0..len).find(|&n| reports.get(n) != golden.get(n)) {
+        panic!(
+            "instrumentation or filter changed: report {n} is (index, key) {:?}, \
+             golden {:?}",
+            reports.get(n),
+            golden.get(n)
+        );
+    }
+    let hash = sequence_hash(&reports);
     assert_eq!(
         hash, 0x47b7_dc03_60ce_e143,
         "instrumentation or filter changed: report sequence hash {hash:#018x} \
