@@ -239,14 +239,14 @@ impl CandidatePart {
         }
     }
 
-    /// Hint-prefetch a bucket's fingerprint and Qweight lines ahead of
-    /// [`Self::offer_or_min`] — used by the batch ingest path, which hashes
-    /// a whole chunk before applying it. Out-of-range buckets are ignored
-    /// rather than prefetched: the chunked pipeline prefetches one item
-    /// ahead, and at the batch tail the "next" coordinates can be one past
-    /// the live range — a hint pointing past the allocation is
-    /// architecturally harmless but is a bounds bug waiting for a non-hint
-    /// rewrite, so it is guarded here.
+    /// Hint-prefetch a bucket's fingerprint, Qweight and occupancy lines
+    /// ahead of [`Self::offer_or_min`] — used by the batch ingest path,
+    /// whose pass 1 hashes a whole chunk and prefetches each item's own
+    /// bucket before pass 2 applies any of them. Out-of-range buckets are
+    /// ignored rather than prefetched: that caller only passes live
+    /// buckets, but a hint pointing past the allocation, while
+    /// architecturally harmless, is a bounds bug waiting for a non-hint
+    /// rewrite, so the guard stays.
     #[inline(always)]
     pub fn prefetch(&self, bucket: usize) {
         if bucket >= self.buckets {
@@ -1129,9 +1129,9 @@ mod tests {
 
     #[test]
     fn prefetch_tolerates_out_of_range_bucket() {
-        // The batch tail prefetches the "next" item's bucket, which past the
-        // last live item can be any index — including one past the bucket
-        // array. The guard must turn those into no-ops.
+        // The guard is the contract: any index, including one past the
+        // bucket array, must be a no-op rather than a hint past the
+        // allocation.
         let p = CandidatePart::new(4, 3, 11);
         p.prefetch(0);
         p.prefetch(3);

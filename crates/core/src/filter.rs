@@ -6,12 +6,12 @@ use crate::criteria::Criteria;
 use crate::error::QfError;
 use crate::strategy::ElectionStrategy;
 use crate::vague::{VagueKey, VaguePart};
-use qf_hash::{HashedKey, RowLanes, SplitMix64, StreamKey};
+use qf_hash::{HashedKey, SplitMix64, StreamKey};
 use qf_sketch::{CountSketch, SplitWeight, StochasticRounder, WeightSketch};
 
-/// Items per chunk of the columnized [`QuantileFilter::insert_batch`]
-/// pipeline. Sized so the chunk's coordinate/delta arrays live in a few
-/// hundred stack bytes and its prefetched bucket lines all fit in L1.
+/// Items per chunk of the two-pass [`QuantileFilter::insert_batch`]. Sized
+/// so the chunk's coordinate/delta arrays live in a few hundred stack bytes
+/// and its prefetched bucket lines all fit in L1.
 pub const INGEST_CHUNK: usize = 64;
 
 /// Which part of the structure produced a report.
@@ -260,24 +260,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
     /// bucket-full, so the election never rescans the slots.
     #[inline]
     fn offer_hashed(&mut self, hk: HashedKey, delta: i64, report_at: f64) -> Option<Report> {
-        self.offer_hashed_with(hk, delta, report_at, None)
-    }
-
-    /// [`Self::offer_hashed`] with an optional precomputed set of vague-part
-    /// row lanes for this item's composite key. The batch pipeline passes
-    /// `Some` on vague-heavy streams, where it has already captured (and
-    /// prefetched) the chunk's lanes in pass 1; lane capture is pure — no
-    /// counter reads, no RNG — so precomputing it ahead of item order is
-    /// bit-identical to computing it here. `None` (and the empty-lanes
-    /// fallback) derives the lanes on the spot, exactly as the scalar path
-    /// always has.
-    fn offer_hashed_with(
-        &mut self,
-        hk: HashedKey,
-        delta: i64,
-        report_at: f64,
-        vague_lanes: Option<&RowLanes>,
-    ) -> Option<Report> {
         let HashedKey { bucket, fp } = hk;
         match self.candidate.offer_or_min(bucket, fp, delta) {
             OfferOutcome::Updated { qweight } => {
@@ -316,10 +298,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
                 self.stats.vague_visits += 1;
                 crate::telemetry::bucket_full();
                 let vk = VagueKey::new(bucket, fp);
-                let lanes = match vague_lanes {
-                    Some(l) if !l.is_empty() => *l,
-                    _ => self.vague.prepare_lanes(vk),
-                };
+                let lanes = self.vague.prepare_lanes(vk);
                 let est = self.vague.add_and_estimate(vk, &lanes, delta);
                 if Self::meets(report_at, est) {
                     // Report and reset the key's Qweight in the vague part —
@@ -367,15 +346,19 @@ impl<S: WeightSketch> QuantileFilter<S> {
     ///
     /// Behaviorally identical to calling [`Self::insert`] on each item in
     /// order — same reports, same statistics, same RNG consumption, bit for
-    /// bit — but restructured into a chunked, column-wise pipeline: the
-    /// batch is cut into [`INGEST_CHUNK`]-item chunks, and each chunk
-    /// runs two dense passes. Pass 1 streams the chunk once, hashing every
-    /// key's candidate coordinates (through the shared-prehash fast path),
-    /// classifying each value against `T`, drawing the stochastic rounding
-    /// for every item, and issuing a prefetch for every touched bucket line.
-    /// Pass 2 applies the precomputed `⟨coords, Δ⟩` pairs through the same
-    /// one-pass core the scalar path uses, hitting buckets that are already
-    /// in cache.
+    /// bit. The batch is cut into [`INGEST_CHUNK`]-item chunks, and each
+    /// chunk runs two passes. Pass 1 checks that each value is finite,
+    /// hashes the key's candidate coordinates, rounds the item's weight and
+    /// prefetches its candidate bucket. Pass 2 applies each item through the
+    /// same one-pass core the scalar path uses.
+    ///
+    /// Why pass 1 prefetches: a scalar insert probes its bucket right after
+    /// hashing the key, so each cold bucket line is a stall of its own.
+    /// Pass 1 requests all of a chunk's bucket lines before pass 2 reads the
+    /// first one, so their misses overlap. That pays when the filter's lines
+    /// are cold and costs little when they are warm: a plain loop over the
+    /// scalar core lost throughput on the repository benchmark's supervised
+    /// pipeline workload (DESIGN.md §11).
     ///
     /// Why this is bit-identical: the rounder RNG and the election RNG are
     /// *separate* streams (`seed ^ 0x5EED_0001` vs `seed ^ 0x5EED_0002`).
@@ -386,7 +369,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
     /// candidate mutations themselves cannot be batched across items (item
     /// `i`'s report-triggered removal must land before item `i+1`'s bump),
     /// which is why only the pure stages — hash, classify, round, prefetch —
-    /// are columnized.
+    /// run ahead in pass 1.
     ///
     /// Non-finite values are dropped exactly as [`Self::insert`] drops them.
     /// The sink is a callback (not a collection) so this path allocates
@@ -402,7 +385,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
         let mut coords = [HashedKey { bucket: 0, fp: 0 }; INGEST_CHUNK];
         let mut deltas = [0i64; INGEST_CHUNK];
         let mut live = [false; INGEST_CHUNK];
-        let mut vlanes = [RowLanes::empty(); INGEST_CHUNK];
         let mut base = 0;
         for chunk in items.chunks(INGEST_CHUNK) {
             // Pass 1: hash + classify + round + prefetch, one memory stream
@@ -425,39 +407,11 @@ impl<S: WeightSketch> QuantileFilter<S> {
                     live[j] = false;
                 }
             }
-            // Pass 1½, taken only on vague-heavy streams (observed path
-            // stats say most items will miss the candidate part): capture
-            // the whole chunk's vague-part row lanes column-wise and
-            // prefetch the sketch cells they address, so pass 2's
-            // add-and-estimate lands on warm counter lines with zero
-            // hashing left to do. Lane capture is pure — no counters read,
-            // no RNG — so hoisting it ahead of item order changes nothing;
-            // the gate itself only chooses between two bit-identical
-            // routes, so adapting it on running stats is safe. Dead
-            // (non-finite) items reuse stale coords here; their lanes are
-            // computed and never consumed.
-            let seen =
-                self.stats.candidate_hits + self.stats.candidate_inserts + self.stats.vague_visits;
-            let vague_heavy = seen > 4096 && self.stats.vague_visits * 3 > seen;
-            if vague_heavy {
-                let mut vks = [VagueKey(0); INGEST_CHUNK];
-                for j in 0..chunk.len() {
-                    vks[j] = VagueKey::new(coords[j].bucket, coords[j].fp);
-                }
-                self.vague
-                    .fill_lanes(&vks[..chunk.len()], &mut vlanes[..chunk.len()]);
-                for lanes in &vlanes[..chunk.len()] {
-                    self.vague.prefetch_lanes(lanes);
-                }
-            }
             // Pass 2: apply in item order against warm bucket lines.
             // Election draws happen here, in item order.
             for j in 0..chunk.len() {
                 if live[j] {
-                    let lanes = if vague_heavy { Some(&vlanes[j]) } else { None };
-                    if let Some(report) =
-                        self.offer_hashed_with(coords[j], deltas[j], report_at, lanes)
-                    {
+                    if let Some(report) = self.offer_hashed(coords[j], deltas[j], report_at) {
                         sink(base + j, report);
                     }
                 }
@@ -977,6 +931,7 @@ mod tests {
     #[derive(Debug, Clone)]
     struct CountingSketch {
         inner: CountSketch<i8>,
+        lanes: std::cell::Cell<u64>,
         adds: std::cell::Cell<u64>,
         estimates: std::cell::Cell<u64>,
         removes: std::cell::Cell<u64>,
@@ -988,6 +943,7 @@ mod tests {
         fn new(inner: CountSketch<i8>) -> Self {
             Self {
                 inner,
+                lanes: std::cell::Cell::new(0),
                 adds: std::cell::Cell::new(0),
                 estimates: std::cell::Cell::new(0),
                 removes: std::cell::Cell::new(0),
@@ -1011,6 +967,7 @@ mod tests {
             self.inner.remove_estimate(key)
         }
         fn prepare_lanes<K: StreamKey + ?Sized>(&self, key: &K) -> qf_hash::RowLanes {
+            self.lanes.set(self.lanes.get() + 1);
             self.inner.prepare_lanes(key)
         }
         fn add_and_estimate<K: StreamKey + ?Sized>(
@@ -1042,6 +999,35 @@ mod tests {
         }
     }
 
+    /// A filter whose 1×1 candidate part funnels nearly everything through
+    /// the vague path, over a [`CountingSketch`].
+    fn counting_filter() -> QuantileFilter<CountingSketch> {
+        let c = Criteria::new(5.0, 0.9, 100.0).unwrap();
+        let candidate = match CandidatePart::try_new(1, 1, 17) {
+            Some(p) => p,
+            None => panic!("candidate part"),
+        };
+        let sketch = CountingSketch::new(CountSketch::new(3, 512, 17));
+        QuantileFilter::from_parts(c, candidate, sketch, ElectionStrategy::Comparative, 17)
+    }
+
+    /// 64 keys, 70% of values above `T`: plain visits, elections and
+    /// vague reports all occur.
+    fn vague_heavy_items(n: usize) -> Vec<(u64, f64)> {
+        let mut rng = qf_hash::SplitMix64::new(5);
+        (0..n)
+            .map(|_| {
+                let key = rng.next_u64() % 64;
+                let value = if rng.next_u64() % 100 < 70 {
+                    500.0
+                } else {
+                    5.0
+                };
+                (key, value)
+            })
+            .collect()
+    }
+
     #[test]
     fn insert_computes_exactly_one_estimate_per_vague_visit() {
         // Regression for the old three-query flow (add → estimate →
@@ -1050,25 +1036,8 @@ mod tests {
         // add-and-estimate, and the report/election resets must reuse that
         // value via fetch_remove — never a standalone estimate or a
         // re-deriving remove_estimate.
-        let c = Criteria::new(5.0, 0.9, 100.0).unwrap();
-        let candidate = match CandidatePart::try_new(1, 1, 17) {
-            Some(p) => p,
-            None => panic!("candidate part"),
-        };
-        let sketch = CountingSketch::new(CountSketch::new(3, 512, 17));
-        let mut qf =
-            QuantileFilter::from_parts(c, candidate, sketch, ElectionStrategy::Comparative, 17);
-
-        // A 1×1 candidate part funnels nearly everything through the vague
-        // path, exercising plain visits, elections, and vague reports.
-        let mut rng = qf_hash::SplitMix64::new(5);
-        for _ in 0..5_000 {
-            let key = rng.next_u64() % 64;
-            let value = if rng.next_u64() % 100 < 70 {
-                500.0
-            } else {
-                5.0
-            };
+        let mut qf = counting_filter();
+        for (key, value) in vague_heavy_items(5_000) {
             qf.insert(&key, value);
         }
 
@@ -1092,5 +1061,26 @@ mod tests {
         );
         // The election's incumbent push-back is the only plain add left.
         assert_eq!(s.adds.get(), qf.stats().exchanges);
+    }
+
+    #[test]
+    fn insert_batch_captures_lanes_only_for_vague_visits() {
+        // The batch path does no speculative lane work: an item's vague
+        // lanes are captured when, and only when, it visits the vague part.
+        // A lane pass run ahead of item order, even one gated on running
+        // stats (10,000 vague-heavy items open any such gate), would also
+        // capture lanes for items that then hit the candidate part.
+        let mut qf = counting_filter();
+        qf.insert_batch(&vague_heavy_items(10_000), &mut |_, _| {});
+
+        let visits = qf.stats().vague_visits;
+        assert!(visits > 4_096, "vague path barely exercised: {visits}");
+        let s = qf.vague_part().inner();
+        assert_eq!(s.lanes.get(), visits, "one lane capture per vague visit");
+        assert_eq!(
+            s.fused.get(),
+            visits,
+            "each vague visit must derive its estimate exactly once"
+        );
     }
 }

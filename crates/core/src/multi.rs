@@ -55,8 +55,9 @@ impl<S: WeightSketch> MultiCriteriaFilter<S> {
 
     /// Insert an item, streaming every `(criterion index, report)` pair
     /// that fired into `sink` — the allocation-free primary path,
-    /// matching the caller-supplied-sink shape of `insert_batch` in the
-    /// detector trait. Performs `r` composite-key inserts; non-finite
+    /// matching the caller-supplied-sink shape of
+    /// [`QuantileFilter::insert_batch`]. Performs `r` composite-key
+    /// inserts; non-finite
     /// values are dropped (as in [`QuantileFilter::insert`]).
     ///
     /// An earlier version cloned the whole criteria `Vec` *and* allocated

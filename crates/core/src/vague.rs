@@ -94,21 +94,6 @@ impl<S: WeightSketch> VaguePart<S> {
         self.sketch.prepare_lanes(&key)
     }
 
-    /// Batch form of [`Self::prepare_lanes`]: capture lanes for a whole
-    /// chunk of composite keys in item order (bit-identical to per-key
-    /// calls; the sketch restructures the fill row-major).
-    #[inline(always)]
-    pub fn fill_lanes(&self, keys: &[VagueKey], out: &mut [RowLanes]) {
-        self.sketch.fill_lanes(keys, out);
-    }
-
-    /// Hint-prefetch the counter cells addressed by `lanes` — used by
-    /// chunked ingest ahead of the lane-taking entry points. Pure hint.
-    #[inline(always)]
-    pub fn prefetch_lanes(&self, lanes: &RowLanes) {
-        self.sketch.prefetch_lanes(lanes);
-    }
-
     /// Add `delta` and return the post-add estimate in one pass over the
     /// sketch rows (equivalent to [`Self::add`] then [`Self::estimate`]).
     #[inline(always)]
@@ -172,18 +157,6 @@ mod tests {
         assert_eq!(p, k.0.prehash().expect("u64 is fixed-width"));
         for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
             assert_eq!(k.hash_with_seed(seed), qf_hash::mix64(seed ^ p));
-        }
-    }
-
-    #[test]
-    fn fill_lanes_matches_per_key_lanes() {
-        let v = VaguePart::new(CountSketch::<i64>::new(3, 512, 9));
-        let keys: Vec<VagueKey> = (0..37).map(|i| VagueKey::new(i, (i * 7) as u16)).collect();
-        let mut got = vec![RowLanes::empty(); keys.len()];
-        v.fill_lanes(&keys, &mut got);
-        for (k, lanes) in keys.iter().zip(&got) {
-            assert_eq!(*lanes, v.prepare_lanes(*k));
-            v.prefetch_lanes(lanes); // pure hint: must be callable on any lanes
         }
     }
 

@@ -168,41 +168,6 @@ impl HashFamily {
         }
         lanes
     }
-
-    /// Column-wise batch lane fill: capture lanes for a whole chunk of
-    /// prehash digests, walking row-major so each row's seed stays hot and
-    /// the digest slice streams once per row. Bit-identical to calling
-    /// [`HashFamily::lanes_prehashed`] per digest; on depth/width fallback
-    /// every output is [`RowLanes::empty`].
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `prehashes`.
-    #[inline]
-    pub fn fill_lanes_prehashed(&self, prehashes: &[u64], out: &mut [RowLanes]) {
-        let n = prehashes.len();
-        assert!(out.len() >= n, "lane output buffer too short");
-        let rows = self.rows();
-        if rows > MAX_LANES || self.width() > u32::MAX as usize {
-            for lanes in &mut out[..n] {
-                *lanes = RowLanes::empty();
-            }
-            return;
-        }
-        for lanes in &mut out[..n] {
-            *lanes = RowLanes {
-                cols: [0; MAX_LANES],
-                neg: 0,
-                len: rows as u8,
-            };
-        }
-        for row in 0..rows {
-            for (lanes, &p) in out[..n].iter_mut().zip(prehashes) {
-                let (col, sign) = self.column_and_sign_prehashed(row, p);
-                lanes.cols[row] = col as u32;
-                lanes.neg |= u32::from(sign < 0) << row;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,35 +229,6 @@ mod tests {
                 assert_eq!(pre.col(row), direct.col(row), "key {k} row {row}");
                 assert_eq!(pre.sign(row), direct.sign(row), "key {k} row {row}");
             }
-        }
-    }
-
-    #[test]
-    fn batch_fill_matches_per_key_lanes() {
-        let fam = HashFamily::new(4, 509, 0xBEEF);
-        let prehashes: Vec<u64> = (0u64..100)
-            .map(|k| k.prehash().expect("u64 keys expose a prehash"))
-            .collect();
-        let mut out = [RowLanes::empty(); 128];
-        fam.fill_lanes_prehashed(&prehashes, &mut out);
-        for (i, k) in (0u64..100).enumerate() {
-            let want = fam.lanes(&k);
-            assert_eq!(out[i].len(), want.len());
-            for row in 0..4 {
-                assert_eq!(out[i].col(row), want.col(row), "key {k} row {row}");
-                assert_eq!(out[i].sign(row), want.sign(row), "key {k} row {row}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_fill_deep_family_yields_empty_lanes() {
-        let fam = HashFamily::new(MAX_LANES + 1, 64, 5);
-        let prehashes = [1u64, 2, 3];
-        let mut out = [RowLanes::empty(); 3];
-        fam.fill_lanes_prehashed(&prehashes, &mut out);
-        for lanes in &out {
-            assert!(lanes.is_empty());
         }
     }
 

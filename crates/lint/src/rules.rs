@@ -33,9 +33,9 @@ use std::fmt;
 /// called from inside those same hot loops when the `trace` feature is
 /// on, so it is policed identically; dump *rendering* (`dump.rs`)
 /// allocates freely because it only runs at recovery time. The SIMD
-/// hot path added the SWAR primitive module (`sketch/src/simd.rs`) and
-/// promoted the Count-Min twin (`sketch/src/count_min.rs`) into the
-/// batch lane-fill path, so both are policed too.
+/// hot path added the SWAR primitive module (`sketch/src/simd.rs`), and
+/// the Count-Min twin (`sketch/src/count_min.rs`) serves the same fused
+/// per-insert entry points as the Count sketch, so both are policed too.
 pub const HOT_PATH_FILES: [&str; 15] = [
     "core/src/filter.rs",
     "core/src/candidate.rs",

@@ -6,10 +6,12 @@
 //! * [`sync`] — the **qf-sync shim**: drop-in stand-ins for
 //!   `std::sync::atomic`, `std::sync::Mutex`, `std::thread::park`/
 //!   `unpark`, `UnsafeCell` payload slots, and the spin/yield hints.
-//!   In a normal build every wrapper is a `#[inline(always)]`
-//!   zero-cost forward to the `std` primitive — codegen is identical
-//!   to writing `std::sync::atomic` directly (asserted by the
-//!   `shim_equiv` proptest suite and the hotpath bench). Under
+//!   In a normal build every wrapper is a `#[inline(always)]` forward
+//!   to the `std` primitive and adds no code of its own. The
+//!   `shim_equiv` proptest suite checks that the forwarding is
+//!   observably equivalent to `std::sync` (same results and final
+//!   state for arbitrary single-threaded op sequences); no test
+//!   inspects the generated code. Under
 //!   `--cfg qf_model` the same names resolve to instrumented model
 //!   primitives driven by the explorer below.
 //! * the **explorer** ([`model`], [`try_model`], [`Checker`]; only

@@ -254,129 +254,6 @@ impl<C: SketchCounter> WeightSketch for CountMinSketch<C> {
         estimate
     }
 
-    fn fill_lanes<K: StreamKey>(&self, keys: &[K], out: &mut [RowLanes]) {
-        use crate::count_sketch::BATCH_BLOCK;
-        let n = keys.len();
-        assert!(out.len() >= n, "lane buffer shorter than keys");
-        let mut j = 0;
-        while j < n {
-            let end = (j + BATCH_BLOCK).min(n);
-            // Same block-gathered prehash fill as the Count sketch; CMS
-            // shares the family so the digests and columns are identical.
-            let mut pre = [0u64; BATCH_BLOCK];
-            let mut all_prehashed = true;
-            for (slot, key) in pre.iter_mut().zip(&keys[j..end]) {
-                match key.prehash() {
-                    Some(p) => *slot = p,
-                    None => {
-                        all_prehashed = false;
-                        break;
-                    }
-                }
-            }
-            if all_prehashed {
-                self.family
-                    .fill_lanes_prehashed(&pre[..end - j], &mut out[j..end]);
-            } else {
-                for (slot, key) in out[j..end].iter_mut().zip(&keys[j..end]) {
-                    *slot = self.family.lanes(key);
-                }
-            }
-            j = end;
-        }
-    }
-
-    #[inline]
-    fn prefetch_lanes(&self, lanes: &RowLanes) {
-        if lanes.len() != self.rows {
-            return;
-        }
-        for row in 0..self.rows {
-            let idx = row * self.width + lanes.col(row);
-            if let Some(cell) = self.cells.get(idx) {
-                crate::traits::prefetch_read(cell);
-            }
-        }
-    }
-
-    fn add_and_estimate_batch<K: StreamKey>(
-        &mut self,
-        keys: &[K],
-        lanes: &[RowLanes],
-        deltas: &[i64],
-        out: &mut [i64],
-    ) {
-        use crate::count_sketch::BATCH_BLOCK;
-        let n = keys.len();
-        assert!(
-            lanes.len() >= n && deltas.len() >= n && out.len() >= n,
-            "batch slices shorter than keys"
-        );
-        let rows = self.rows;
-        let mut j = 0;
-        while j < n {
-            let end = (j + BATCH_BLOCK).min(n);
-            if lanes[j..end].iter().any(|l| l.len() != rows) {
-                for jj in j..end {
-                    out[jj] = self.add_and_estimate(&keys[jj], &lanes[jj], deltas[jj]);
-                }
-                j = end;
-                continue;
-            }
-            // Column-wise core, same disjoint-rows bit-identity argument as
-            // the Count sketch: one pass of bumps per row, post-add values
-            // folded into a running per-item minimum.
-            let mut mins = [i64::MAX; BATCH_BLOCK];
-            for row in 0..rows {
-                for (idx, l) in lanes[j..end].iter().enumerate() {
-                    let v = self.bump_cell(row, l.col(row), deltas[j + idx]);
-                    if v < mins[idx] {
-                        mins[idx] = v;
-                    }
-                }
-            }
-            out[j..end].copy_from_slice(&mins[..end - j]);
-            j = end;
-        }
-    }
-
-    fn fetch_remove_batch<K: StreamKey>(
-        &mut self,
-        keys: &[K],
-        lanes: &[RowLanes],
-        estimates: &[i64],
-    ) {
-        use crate::count_sketch::BATCH_BLOCK;
-        let n = keys.len();
-        assert!(
-            lanes.len() >= n && estimates.len() >= n,
-            "batch slices shorter than keys"
-        );
-        let rows = self.rows;
-        let mut j = 0;
-        while j < n {
-            let end = (j + BATCH_BLOCK).min(n);
-            if lanes[j..end].iter().any(|l| l.len() != rows) {
-                for jj in j..end {
-                    let _ = self.fetch_remove(&keys[jj], &lanes[jj], estimates[jj]);
-                }
-                j = end;
-                continue;
-            }
-            for row in 0..rows {
-                for (idx, l) in lanes[j..end].iter().enumerate() {
-                    let est = estimates[j + idx];
-                    if est != 0 {
-                        let col = l.col(row);
-                        let cell = &mut self.cells[row * self.width + col];
-                        *cell = cell.saturating_add_i64(-est);
-                    }
-                }
-            }
-            j = end;
-        }
-    }
-
     fn clear(&mut self) {
         self.cells.fill(C::zero());
     }
@@ -492,37 +369,6 @@ mod tests {
         assert_eq!(cms.add_and_estimate(&9u64, &lanes, 6), 6);
         assert_eq!(cms.fetch_remove(&9u64, &lanes, 6), 6);
         assert_eq!(cms.estimate(&9u64), 0);
-    }
-
-    #[test]
-    fn batch_ops_match_sequential_fused_path() {
-        use crate::count_sketch::BATCH_BLOCK;
-        for rows in [1, 3, 4, qf_hash::MAX_LANES, qf_hash::MAX_LANES + 2] {
-            for len in [0, 1, BATCH_BLOCK - 1, BATCH_BLOCK, BATCH_BLOCK + 1, 300] {
-                let mut batch = CountMinSketch::<i16>::new(rows, 48, 35);
-                let mut seq = CountMinSketch::<i16>::new(rows, 48, 35);
-                let keys: Vec<u64> = (0..len as u64).map(|k| k % 37).collect();
-                let deltas: Vec<i64> = (0..len as i64).map(|i| (i % 9) - 4).collect();
-                let lanes: Vec<RowLanes> = keys.iter().map(|k| batch.prepare_lanes(k)).collect();
-                let mut got = vec![0i64; len];
-                batch.add_and_estimate_batch(&keys, &lanes, &deltas, &mut got);
-                for j in 0..len {
-                    let want = seq.add_and_estimate(&keys[j], &lanes[j], deltas[j]);
-                    assert_eq!(got[j], want, "rows {rows} len {len} item {j}");
-                }
-                assert_eq!(batch.raw_cells(), seq.raw_cells());
-                let ests: Vec<i64> = got
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &e)| if j % 4 == 0 { e } else { 0 })
-                    .collect();
-                batch.fetch_remove_batch(&keys, &lanes, &ests);
-                for j in 0..len {
-                    let _ = seq.fetch_remove(&keys[j], &lanes[j], ests[j]);
-                }
-                assert_eq!(batch.raw_cells(), seq.raw_cells());
-            }
-        }
     }
 
     #[test]

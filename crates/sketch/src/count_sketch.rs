@@ -20,11 +20,6 @@ use qf_hash::{HashFamily, RowLanes, StreamKey};
 /// Maximum supported depth. Figure 9 sweeps `d` up to 20; 32 leaves room.
 pub const MAX_DEPTH: usize = 32;
 
-/// Items per stack block in the column-wise batch entry points. Sized so the
-/// per-row value matrix (`MAX_LANES × BATCH_BLOCK` i64s) stays a small,
-/// cache-resident stack array.
-pub const BATCH_BLOCK: usize = 32;
-
 /// A Count sketch over cells of type `C`.
 #[derive(Debug, Clone)]
 pub struct CountSketch<C: SketchCounter = i32> {
@@ -335,144 +330,6 @@ impl<C: SketchCounter> WeightSketch for CountSketch<C> {
         estimate
     }
 
-    fn fill_lanes<K: StreamKey>(&self, keys: &[K], out: &mut [RowLanes]) {
-        let n = keys.len();
-        assert!(out.len() >= n, "lane buffer shorter than keys");
-        let mut j = 0;
-        while j < n {
-            let end = (j + BATCH_BLOCK).min(n);
-            // Fixed-width keys factor through a seed-independent prehash
-            // digest; gathering a block of digests first lets the family's
-            // row-major fill keep each row seed register-resident. A key
-            // without a digest sends its block down the per-key path —
-            // same values either way.
-            let mut pre = [0u64; BATCH_BLOCK];
-            let mut all_prehashed = true;
-            for (slot, key) in pre.iter_mut().zip(&keys[j..end]) {
-                match key.prehash() {
-                    Some(p) => *slot = p,
-                    None => {
-                        all_prehashed = false;
-                        break;
-                    }
-                }
-            }
-            if all_prehashed {
-                self.family
-                    .fill_lanes_prehashed(&pre[..end - j], &mut out[j..end]);
-            } else {
-                for (slot, key) in out[j..end].iter_mut().zip(&keys[j..end]) {
-                    *slot = self.family.lanes(key);
-                }
-            }
-            j = end;
-        }
-    }
-
-    #[inline]
-    fn prefetch_lanes(&self, lanes: &RowLanes) {
-        if lanes.len() != self.rows {
-            return;
-        }
-        for row in 0..self.rows {
-            let idx = row * self.width + lanes.col(row);
-            if let Some(cell) = self.cells.get(idx) {
-                crate::traits::prefetch_read(cell);
-            }
-        }
-    }
-
-    fn add_and_estimate_batch<K: StreamKey>(
-        &mut self,
-        keys: &[K],
-        lanes: &[RowLanes],
-        deltas: &[i64],
-        out: &mut [i64],
-    ) {
-        let n = keys.len();
-        assert!(
-            lanes.len() >= n && deltas.len() >= n && out.len() >= n,
-            "batch slices shorter than keys"
-        );
-        let rows = self.rows;
-        let mut j = 0;
-        while j < n {
-            let end = (j + BATCH_BLOCK).min(n);
-            if lanes[j..end].iter().any(|l| l.len() != rows) {
-                // Any lane-less item (deep family, unhashable key) sends the
-                // whole block down the scalar path — same item order, so
-                // still bit-identical, just unvectorized.
-                for jj in j..end {
-                    out[jj] = self.add_and_estimate(&keys[jj], &lanes[jj], deltas[jj]);
-                }
-                j = end;
-                continue;
-            }
-            // Column-wise core: one pass of bumps per counter row, streaming
-            // the block's lanes in item order. Rows occupy disjoint grid
-            // slices and within a row the item order matches the sequential
-            // path, so every cell sees the identical op sequence and every
-            // post-add read returns the identical value.
-            let mut vals = [[0i64; BATCH_BLOCK]; qf_hash::MAX_LANES];
-            for (row, row_vals) in vals.iter_mut().enumerate().take(rows) {
-                for (idx, l) in lanes[j..end].iter().enumerate() {
-                    let sign = l.sign(row);
-                    row_vals[idx] = sign * self.bump_cell(row, l.col(row), sign * deltas[j + idx]);
-                }
-            }
-            if rows == 3 {
-                for idx in 0..end - j {
-                    out[j + idx] = crate::traits::median3(vals[0][idx], vals[1][idx], vals[2][idx]);
-                }
-            } else {
-                let mut buf = [0i64; qf_hash::MAX_LANES];
-                for idx in 0..end - j {
-                    for (row, slot) in buf.iter_mut().enumerate().take(rows) {
-                        *slot = vals[row][idx];
-                    }
-                    out[j + idx] = median_in_place(&mut buf[..rows]);
-                }
-            }
-            j = end;
-        }
-    }
-
-    fn fetch_remove_batch<K: StreamKey>(
-        &mut self,
-        keys: &[K],
-        lanes: &[RowLanes],
-        estimates: &[i64],
-    ) {
-        let n = keys.len();
-        assert!(
-            lanes.len() >= n && estimates.len() >= n,
-            "batch slices shorter than keys"
-        );
-        let rows = self.rows;
-        let mut j = 0;
-        while j < n {
-            let end = (j + BATCH_BLOCK).min(n);
-            if lanes[j..end].iter().any(|l| l.len() != rows) {
-                for jj in j..end {
-                    let _ = self.fetch_remove(&keys[jj], &lanes[jj], estimates[jj]);
-                }
-                j = end;
-                continue;
-            }
-            for row in 0..rows {
-                for (idx, l) in lanes[j..end].iter().enumerate() {
-                    let est = estimates[j + idx];
-                    if est != 0 {
-                        let sign = l.sign(row);
-                        let cell = self.cell_mut(row, l.col(row));
-                        *cell = cell.saturating_add_i64(-sign * est);
-                    }
-                }
-            }
-            j = end;
-        }
-    }
-
     fn clear(&mut self) {
         self.cells.fill(C::zero());
     }
@@ -648,45 +505,6 @@ mod tests {
         assert_eq!(got, 12);
         assert_eq!(cs.fetch_remove(&5u64, &RowLanes::empty(), got), 12);
         assert_eq!(cs.estimate(&5u64), 0);
-    }
-
-    fn batch_twin_trial(rows: usize, len: usize) {
-        // The column-wise batch entry points must be bit-identical to the
-        // sequential fused path on an identically-seeded twin: same returned
-        // estimates, same raw cells, for aligned and unaligned lengths and
-        // for depths on both sides of the lane ceiling.
-        let mut batch = CountSketch::<i8>::new(rows, 32, 31);
-        let mut seq = CountSketch::<i8>::new(rows, 32, 31);
-        let keys: Vec<u64> = (0..len as u64).map(|k| k % 41).collect();
-        let deltas: Vec<i64> = (0..len as i64).map(|i| (i % 11) - 5).collect();
-        let lanes: Vec<RowLanes> = keys.iter().map(|k| batch.prepare_lanes(k)).collect();
-        let mut got = vec![0i64; len];
-        batch.add_and_estimate_batch(&keys, &lanes, &deltas, &mut got);
-        for j in 0..len {
-            let want = seq.add_and_estimate(&keys[j], &lanes[j], deltas[j]);
-            assert_eq!(got[j], want, "rows {rows} len {len} item {j}");
-        }
-        assert_eq!(batch.raw_cells(), seq.raw_cells());
-        // Remove every third estimate (some zero, some not) both ways.
-        let ests: Vec<i64> = got
-            .iter()
-            .enumerate()
-            .map(|(j, &e)| if j % 3 == 0 { e } else { 0 })
-            .collect();
-        batch.fetch_remove_batch(&keys, &lanes, &ests);
-        for j in 0..len {
-            let _ = seq.fetch_remove(&keys[j], &lanes[j], ests[j]);
-        }
-        assert_eq!(batch.raw_cells(), seq.raw_cells());
-    }
-
-    #[test]
-    fn batch_ops_match_sequential_fused_path() {
-        for rows in [1, 3, 5, qf_hash::MAX_LANES, qf_hash::MAX_LANES + 2] {
-            for len in [0, 1, BATCH_BLOCK - 1, BATCH_BLOCK, BATCH_BLOCK + 1, 300] {
-                batch_twin_trial(rows, len);
-            }
-        }
     }
 
     proptest::proptest! {

@@ -11,7 +11,8 @@
 //! deciding whether a cell clamped takes widening arithmetic per cell
 //! per insert, and under narrow counters (the paper-default `i8` vague
 //! part) a heavy stream clamps on nearly every insert — measured ~20%
-//! of scalar throughput on the internet-like hotpath workload. That
+//! of scalar throughput on the internet-like workload of the `hotpath`
+//! bench, a qf-bench bin that has since been deleted. That
 //! detection is telemetry's accepted per-insert cost; `trace` alone
 //! must stay inside the ≤2% A/B budget, so a trace-only build compiles
 //! the detection (and this hook's call sites) out entirely, and the

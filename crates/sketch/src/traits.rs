@@ -66,75 +66,6 @@ pub trait WeightSketch {
         self.remove_estimate(key)
     }
 
-    /// Column-wise batch form of [`WeightSketch::prepare_lanes`]: capture
-    /// lanes for a whole chunk of keys into `out`, in item order. The
-    /// default loops the scalar entry point; lane-aware implementations
-    /// restructure the fill row-major over the hash family so each row's
-    /// seed stays register-resident across the chunk. Bit-identical to the
-    /// per-key calls.
-    ///
-    /// # Panics
-    /// Implementations may panic when `out` is shorter than `keys`.
-    #[inline]
-    fn fill_lanes<K: StreamKey>(&self, keys: &[K], out: &mut [RowLanes]) {
-        for (slot, key) in out.iter_mut().zip(keys) {
-            *slot = self.prepare_lanes(key);
-        }
-    }
-
-    /// Hint-prefetch the counter cells addressed by `lanes` ahead of a
-    /// lane-taking operation — used by chunked ingest pipelines that capture
-    /// a whole chunk's lanes before applying it. A pure hint with no
-    /// architectural effect; the default does nothing.
-    #[inline]
-    fn prefetch_lanes(&self, lanes: &RowLanes) {
-        let _ = lanes;
-    }
-
-    /// Column-wise batch form of [`WeightSketch::add_and_estimate`]: apply
-    /// `(keys[j], lanes[j], deltas[j])` for every `j` *in item order* and
-    /// write the post-add estimates into `out[j]`. The default loops the
-    /// scalar entry point; lane-aware implementations restructure the loop
-    /// row-major — one pass of bumps per counter row fed by one memory
-    /// stream — which is bit-identical because each row's cells are touched
-    /// only by that row's bumps, in the same item order.
-    ///
-    /// # Panics
-    /// Implementations may panic when `lanes`, `deltas` or `out` are shorter
-    /// than `keys`.
-    #[inline]
-    fn add_and_estimate_batch<K: StreamKey>(
-        &mut self,
-        keys: &[K],
-        lanes: &[RowLanes],
-        deltas: &[i64],
-        out: &mut [i64],
-    ) {
-        for j in 0..keys.len() {
-            out[j] = self.add_and_estimate(&keys[j], &lanes[j], deltas[j]);
-        }
-    }
-
-    /// Column-wise batch form of [`WeightSketch::fetch_remove`]: remove the
-    /// known `estimates[j]` for every `j` in item order. Same row-major
-    /// restructuring and bit-identity argument as
-    /// [`WeightSketch::add_and_estimate_batch`].
-    ///
-    /// # Panics
-    /// Implementations may panic when `lanes` or `estimates` are shorter
-    /// than `keys`.
-    #[inline]
-    fn fetch_remove_batch<K: StreamKey>(
-        &mut self,
-        keys: &[K],
-        lanes: &[RowLanes],
-        estimates: &[i64],
-    ) {
-        for j in 0..keys.len() {
-            let _ = self.fetch_remove(&keys[j], &lanes[j], estimates[j]);
-        }
-    }
-
     /// Reset every counter to zero (the periodic reset of §III-B).
     fn clear(&mut self);
 

@@ -31,8 +31,8 @@ thread_local! {
 ///
 /// This is the real fast-path gate: a TLS access still costs several
 /// nanoseconds on the saturated-sketch emit path (measured ~25% on the
-/// internet-like hotpath workload, whose narrow counters clamp on most
-/// inserts), while a relaxed load of a read-mostly static is an
+/// internet-like workload of the since-deleted `hotpath` bench, whose
+/// narrow counters clamp on most inserts), while a relaxed load of a read-mostly static is an
 /// ordinary L1 hit. Processes that never install a recorder — every
 /// eval/bench/detect run — pay only that load per would-be event.
 // sync: counter — relaxed install gate; an emit that misses a racing

@@ -21,8 +21,8 @@
 //! 4. **Boundary geometry**: batch lengths straddling the internal
 //!    `INGEST_CHUNK` (and non-multiples of the 4-lane SWAR width), plus a
 //!    batch whose final item lands in the candidate array's *last* bucket
-//!    — the corner where the one-ahead prefetch has no successor and the
-//!    SWAR probe window reads the tail padding.
+//!    — the corner where pass 1 prefetches the last bucket's lines and
+//!    the SWAR probe window reads the tail padding.
 //! 5. **Vague-depth sweep**: every supported sketch depth for both
 //!    CountSketch and Count-Min, including `d > MAX_LANES` where lane
 //!    precomputation falls back to per-call hashing.
@@ -207,11 +207,12 @@ fn chunk_boundary_lengths_replay_identically() {
 
 #[test]
 fn batch_tail_in_last_bucket_matches_scalar() {
-    // The chunked ingest prefetches one item ahead; the final item of a
-    // batch has no successor, and when its key hashes to the candidate
-    // array's last bucket the SWAR probe window reads the tail padding.
-    // Pin that corner: batches around the chunk size whose final key lands
-    // in the last bucket, with that bucket crowded by earlier plants.
+    // Pass 1 prefetches each item's own bucket; when the final item of a
+    // batch hashes to the candidate array's last bucket, the prefetch
+    // touches the array's last lines and the SWAR probe window reads the
+    // tail padding. Pin that corner: batches around the chunk size whose
+    // final key lands in the last bucket, with that bucket crowded by
+    // earlier plants.
     let c = criteria(5.0, 0.75, 100.0);
     let probe = build(c, 0x55);
     let buckets = probe.candidate_part().buckets();
