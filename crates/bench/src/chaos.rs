@@ -148,24 +148,17 @@ pub fn measure_supervised(
 /// strike counter at bay (each crash is separated by real progress), so
 /// every fault ends in a restart, never a quarantine.
 ///
-/// The recovery run clamps the queue depth so that at most ~256 items
-/// are in flight per shard regardless of `config.slab_capacity`. Slab
-/// batching multiplies the ring's in-flight window by the slab size;
-/// with a deep queue a short trace fits in the rings entirely and every
-/// injected crash defers to the shutdown drain, where it fences
-/// terminally instead of restarting — there would be no restart latency
-/// to measure. The clamp keeps the router at the workers' pace, so each
-/// poison kills a *live* worker mid-trace.
+/// Each poison must kill a *live* worker mid-trace: a crash that surfaces
+/// only at the shutdown drain fences terminally instead of restarting,
+/// and has no restart latency to measure. `config.queue_capacity` counts
+/// items, so a queue far shorter than the trace keeps the router at the
+/// workers' pace and the crashes spread over the run.
 pub fn measure_recovery(
     config: PipelineConfig,
     sup: SupervisorConfig,
     items: &[Item],
     crashes: u32,
 ) -> Result<RecoveryStats, PipelineError> {
-    let config = PipelineConfig {
-        queue_capacity: (256 / config.slab_capacity.max(1)).clamp(2, config.queue_capacity.max(2)),
-        ..config
-    };
     // A key outside every dataset generator's range, so it perturbs
     // nothing but the worker it kills.
     let poison_key = u64::MAX - 1;
@@ -223,7 +216,8 @@ pub struct ChaosBenchReport {
     pub nproc: usize,
     /// Best-of repeats per overhead point.
     pub repeats: usize,
-    /// Slots per shard queue.
+    /// Items per shard queue (`PipelineConfig::queue_capacity`; the ring
+    /// holds that many items rounded up to whole slabs).
     pub queue_capacity: usize,
     /// Items per handoff slab (one ring slot carries one slab).
     pub slab_capacity: usize,
@@ -253,7 +247,7 @@ fn num(x: f64) -> String {
 ///   "mode": "full",                   // or "tiny" (CI smoke)
 ///   "nproc": 8,
 ///   "repeats": 3,
-///   "queue_capacity": 1024,
+///   "queue_capacity": 1024,           // items per shard queue
 ///   "slab_capacity": 256,             // items per handoff slab
 ///   "checkpoint_interval": 8192,
 ///   "items": 2000000,

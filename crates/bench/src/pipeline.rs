@@ -209,7 +209,8 @@ pub struct PipelineBenchReport {
     pub nproc: usize,
     /// Best-of repeats per point.
     pub repeats: usize,
-    /// Slots per shard queue.
+    /// Items per shard queue (`PipelineConfig::queue_capacity`; the ring
+    /// holds that many items rounded up to whole slabs).
     pub queue_capacity: usize,
     /// Router slab capacity (items buffered per shard before one slab
     /// travels as a single ring slot).
@@ -240,7 +241,7 @@ fn num(x: f64) -> String {
 ///   "mode": "full",                  // or "tiny" (CI smoke)
 ///   "nproc": 8,                      // cores on the measuring host
 ///   "repeats": 3,                    // best-of repeats per point
-///   "queue_capacity": 1024,          // slab slots per shard queue
+///   "queue_capacity": 1024,          // items per shard queue
 ///   "slab_capacity": 256,            // items per router slab
 ///   "memory_bytes_per_shard": 32768,
 ///   "workload": {"name": "zipf", "items": 2000000, "keys": 120000,
@@ -372,8 +373,9 @@ mod tests {
 
     #[test]
     fn drop_policy_conserves_offered_items() {
-        // A 2-slot queue under a full-speed router must shed load; the
-        // measurement's own conservation check re-verifies the split.
+        // A 2-item queue (the ring's two-slot minimum) under a
+        // full-speed router must shed load; the measurement's own
+        // conservation check re-verifies the split.
         let items = trace(20_000, 500, 6);
         let m = match measure_pipeline(config(1, BackpressurePolicy::DropNewest, 2), &items, 1) {
             Ok(m) => m,

@@ -142,18 +142,6 @@ impl HashFamily {
         lanes
     }
 
-    /// [`HashFamily::lanes`] from a key's [`StreamKey::prehash`] digest —
-    /// bit-identical lanes at one mix round per row. Same depth/width
-    /// fallback as `lanes`.
-    #[inline]
-    pub fn lanes_prehashed(&self, prehash: u64) -> RowLanes {
-        let rows = self.rows();
-        if rows > MAX_LANES || self.width() > u32::MAX as usize {
-            return RowLanes::empty();
-        }
-        self.lanes_prehashed_unchecked(prehash, rows)
-    }
-
     #[inline(always)]
     fn lanes_prehashed_unchecked(&self, prehash: u64, rows: usize) -> RowLanes {
         let mut lanes = RowLanes {
@@ -215,21 +203,6 @@ mod tests {
         assert_eq!(lanes.len(), MAX_LANES);
         // Row 31's sign must round-trip through the top bit of the mask.
         assert_eq!(lanes.sign(MAX_LANES - 1), fam.sign(MAX_LANES - 1, &7u64));
-    }
-
-    #[test]
-    fn prehashed_lanes_match_keyed_lanes() {
-        let fam = HashFamily::new(3, 2184, 0x7A63);
-        for k in 0u64..800 {
-            let p = k.prehash().expect("u64 keys expose a prehash");
-            let direct = fam.lanes(&k);
-            let pre = fam.lanes_prehashed(p);
-            assert_eq!(pre.len(), direct.len());
-            for row in 0..3 {
-                assert_eq!(pre.col(row), direct.col(row), "key {k} row {row}");
-                assert_eq!(pre.sign(row), direct.sign(row), "key {k} row {row}");
-            }
-        }
     }
 
     #[test]

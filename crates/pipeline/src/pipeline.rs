@@ -131,9 +131,10 @@ pub struct PipelineConfig {
     pub criteria: Criteria,
     /// Memory budget per shard filter, in bytes.
     pub memory_bytes_per_shard: usize,
-    /// Slots per shard queue (rounded up to a power of two, minimum 2).
-    /// Each slot carries one slab, so the queue buffers up to
-    /// `queue_capacity * slab_capacity` items.
+    /// Items per shard queue (minimum 2). The ring carries whole slabs,
+    /// so it gets [`Self::ring_slots`] slots and buffers up to
+    /// `ring_slots() * slab_capacity` items: `queue_capacity` rounded up
+    /// to whole slabs and a power-of-two slot count.
     pub queue_capacity: usize,
     /// The maximum slab size: items the router buffers per shard before
     /// handing them over as one ring slot (minimum 1; `1` reproduces the
@@ -155,6 +156,18 @@ impl PipelineConfig {
     /// The seed shard `i`'s filter is built with.
     pub fn shard_seed(&self, shard: usize) -> u64 {
         self.seed.wrapping_add(shard as u64)
+    }
+
+    /// Slots in each shard's ring: ⌈`queue_capacity` / `slab_capacity`⌉
+    /// rounded up to a power of two, minimum 2. A crashed worker loses at
+    /// most these slabs plus the one it was applying, so
+    /// `(ring_slots() + 1) * slab_capacity` items bound each restart's
+    /// loss window.
+    pub fn ring_slots(&self) -> usize {
+        self.queue_capacity
+            .div_ceil(self.slab_capacity.max(1))
+            .max(2)
+            .next_power_of_two()
     }
 
     fn validate(&self) -> Result<(), PipelineError> {
@@ -490,7 +503,7 @@ impl Pipeline {
         let fairness = Self::fairness_for(&config);
         let mut shards = Vec::with_capacity(config.shards);
         for (shard, filter) in filters.into_iter().enumerate() {
-            let (producer, consumer) = SpscRing::with_capacity(config.queue_capacity).split();
+            let (producer, consumer) = SpscRing::with_capacity(config.ring_slots()).split();
             let sink = sink.clone();
             let flight = ShardFlight::new(shard);
             let worker_flight = flight.clone();
@@ -664,7 +677,7 @@ impl Pipeline {
         sink: Sender<Event>,
         sup: Supervision,
     ) -> Result<(Producer<Msg>, JoinHandle<WorkerExit>), PipelineError> {
-        let (producer, consumer) = SpscRing::with_capacity(config.queue_capacity).split();
+        let (producer, consumer) = SpscRing::with_capacity(config.ring_slots()).split();
         let worker = std::thread::Builder::new()
             .name(format!("qf-pipeline-{shard}"))
             .spawn(move || run_supervised(shard, consumer, filter, sink, sup))
@@ -711,7 +724,8 @@ impl Pipeline {
         self.memory_bytes
     }
 
-    /// Items currently queued for `shard` (racy snapshot).
+    /// Ring slots currently occupied for `shard` (racy snapshot): queued
+    /// slabs, not items.
     pub fn queue_len(&self, shard: usize) -> usize {
         self.shards.get(shard).map_or(0, |s| s.queue.len())
     }
@@ -1823,6 +1837,29 @@ mod tests {
         (0u64..)
             .find(|k| shard_of(*k, shards) == shard)
             .expect("some key routes to every shard")
+    }
+
+    /// `queue_capacity` counts items: the ring gets whole slabs, a
+    /// power-of-two slot count, and never fewer than two slots.
+    #[test]
+    fn ring_slots_count_whole_slabs() {
+        for (queue_capacity, slab_capacity, slots) in [
+            (1024, 256, 4),
+            (1024, 1, 1024),
+            (2, 4096, 2),
+            (1025, 256, 8),
+        ] {
+            let config = PipelineConfig {
+                queue_capacity,
+                slab_capacity,
+                ..cfg(1, BackpressurePolicy::Block)
+            };
+            assert_eq!(
+                config.ring_slots(),
+                slots,
+                "queue_capacity {queue_capacity}, slab_capacity {slab_capacity}"
+            );
+        }
     }
 
     /// The Disconnected-ingest contract without supervision: a dead shard

@@ -239,8 +239,11 @@ pub enum RecoveredBase {
 
 /// One recovery event, as recorded in
 /// [`PipelineSummary::recoveries`](crate::PipelineSummary::recoveries).
-/// The loss bound: a crash loses exactly `lost` items — the burst being
-/// applied plus the in-ring slab at crash time — and nothing else.
+/// The loss bound: a crash loses exactly `lost` items — the slab being
+/// applied plus the slabs in the ring at crash time, at most
+/// `(PipelineConfig::ring_slots() + 1) × slab_capacity` — and nothing
+/// else. A quarantine record also counts the router-held slab it
+/// discards.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryRecord {
     /// Shard that crashed.

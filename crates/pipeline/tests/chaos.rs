@@ -150,8 +150,13 @@ fn per_shard_sequences(shards: usize, reports: &[ReportEvent]) -> Vec<Vec<u64>> 
 }
 
 /// The conservation laws every chaos run must satisfy, per shard and in
-/// total, plus internal consistency of the recovery ledger.
-fn assert_conserved(summary: &PipelineSummary, context: &str) {
+/// total, plus internal consistency of the recovery ledger and the loss
+/// bound: a restart loses at most the ring's slabs plus the slab its
+/// worker was applying, and a quarantine may also discard the slab the
+/// router held.
+fn assert_conserved(cfg: &PipelineConfig, summary: &PipelineSummary, context: &str) {
+    let restart_bound = ((cfg.ring_slots() + 1) * cfg.slab_capacity) as u64;
+    let quarantine_bound = restart_bound + cfg.slab_capacity as u64;
     assert_eq!(
         summary.offered,
         summary.enqueued + summary.dropped + summary.rejected,
@@ -165,6 +170,16 @@ fn assert_conserved(summary: &PipelineSummary, context: &str) {
     let mut lost_from_records = 0u64;
     for r in &summary.recoveries {
         lost_from_records += r.lost;
+        let bound = if r.quarantined {
+            quarantine_bound
+        } else {
+            restart_bound
+        };
+        assert!(
+            r.lost <= bound,
+            "recovery lost {} items, over its {bound}-item bound ({context}): {r:?}",
+            r.lost
+        );
         if !r.quarantined {
             assert!(
                 r.base.is_some(),
@@ -288,7 +303,7 @@ fn chaos_matrix_terminates_and_conserves() {
                 assert_eq!(summary.enqueued, enq, "({context})");
                 assert_eq!(summary.dropped, dropped, "({context})");
                 assert_eq!(summary.rejected, rejected, "({context})");
-                assert_conserved(&summary, &context);
+                assert_conserved(&cfg, &summary, &context);
                 if policy == BackpressurePolicy::Block {
                     assert_eq!(summary.dropped, 0, "Block never drops ({context})");
                 }
@@ -387,7 +402,7 @@ fn recovery_equals_serial_reference_minus_the_lost_item() {
     );
     assert_eq!(summary.processed, items.len() as u64);
     assert_eq!(summary.restarts, 1);
-    assert_conserved(&summary, "deterministic poison");
+    assert_conserved(&cfg, &summary, "deterministic poison");
     let rec = &summary.recoveries[0];
     assert_eq!(rec.cause, CrashCause::Panic);
     assert_eq!(rec.lost, 1);
@@ -456,7 +471,7 @@ fn mid_slab_death_counts_the_whole_slab_as_lost() {
         Ok(s) => s,
         Err(e) => panic!("shutdown: {e}"),
     };
-    assert_conserved(&summary, "mid-slab death");
+    assert_conserved(&cfg, &summary, "mid-slab death");
     assert_eq!(
         summary.lost_to_crash, slab as u64,
         "the whole in-flight slab is the loss window: {summary:?}"
@@ -521,7 +536,7 @@ fn poll_leaves_a_partial_slab_buffered_behind_a_queued_slab() {
         Ok(s) => s,
         Err(e) => panic!("shutdown: {e}"),
     };
-    assert_conserved(&summary, "poll behind a hang");
+    assert_conserved(&cfg, &summary, "poll behind a hang");
     assert_eq!(summary.processed, (2 * slab + partial) as u64);
     assert_eq!(summary.restarts, 0, "{:?}", summary.recoveries);
 }
@@ -583,7 +598,7 @@ fn poll_handoff_to_a_dying_worker_conserves() {
         Ok(s) => s,
         Err(e) => panic!("shutdown: {e}"),
     };
-    assert_conserved(&summary, "poll handoff to a dying worker");
+    assert_conserved(&cfg, &summary, "poll handoff to a dying worker");
     let lost = (partial * (1 + in_ring)) as u64;
     assert_eq!(summary.lost_to_crash, lost, "{summary:?}");
     assert_eq!(summary.enqueued, (2 * partial + 2 * slab) as u64);
@@ -662,7 +677,7 @@ fn strike_exhaustion_quarantines_only_the_poisoned_shard() {
         Ok(s) => s,
         Err(e) => panic!("shutdown: {e}"),
     };
-    assert_conserved(&summary, "quarantine");
+    assert_conserved(&cfg, &summary, "quarantine");
     assert!(summary.rejected >= 2);
     assert_eq!(
         summary.per_shard[poisoned_shard].state,
@@ -686,9 +701,11 @@ fn hung_worker_is_detected_and_replaced() {
     let shards = 2;
     let mut cfg = config(shards, 16, BackpressurePolicy::Block);
     // Hang *detection* needs the router to keep flushing (and stalling)
-    // while the worker sleeps; with giant slabs the whole workload fits
-    // in the router buffer and no push pressure ever builds. Cap the
-    // slab so the scenario stays reachable at every matrix point.
+    // while the worker sleeps. The ring never has fewer than two slots,
+    // so at 4096-item slabs it holds 8,192 items and the router slab
+    // another 4,096: more than the whole workload, and no push pressure
+    // ever builds. Cap the slab so the scenario stays reachable at every
+    // matrix point.
     cfg.slab_capacity = cfg.slab_capacity.min(16);
     let plan = ChaosPlan::new().with(Fault::Hang {
         shard: 0,
@@ -706,7 +723,7 @@ fn hung_worker_is_detected_and_replaced() {
         Ok(s) => s,
         Err(e) => panic!("shutdown: {e}"),
     };
-    assert_conserved(&summary, "hang");
+    assert_conserved(&cfg, &summary, "hang");
     assert!(
         summary
             .recoveries
@@ -757,7 +774,7 @@ fn snapshot_survives_a_mid_barrier_crash() {
         Ok(s) => s,
         Err(e) => panic!("shutdown: {e}"),
     };
-    assert_conserved(&summary, "snapshot under chaos");
+    assert_conserved(&cfg, &summary, "snapshot under chaos");
 }
 
 /// Corrupting every checkpoint forces recovery onto the journal-only
@@ -767,10 +784,11 @@ fn snapshot_survives_a_mid_barrier_crash() {
 fn corrupt_checkpoints_degrade_to_accounted_state_loss() {
     let shards = 1;
     let mut cfg = config(shards, 64, BackpressurePolicy::Block);
-    // The StateLoss restart must happen *mid-run*: with giant slabs the
-    // whole workload fits in the ring, the crash surfaces only at the
-    // shutdown drain, and the shard fences terminally instead of
-    // restarting. Cap the slab so the router is still flushing (and
+    // The StateLoss restart must happen *mid-run*. The ring never has
+    // fewer than two slots, so at 4096-item slabs ring and router slab
+    // hold 12,288 items, more than the whole workload: the crash
+    // surfaces only at the shutdown drain, and the shard fences
+    // terminally instead of restarting. Cap the slab so the router is still flushing (and
     // detecting the death) when the panic fires.
     cfg.slab_capacity = cfg.slab_capacity.min(16);
     let n = N_ITEMS;
@@ -793,7 +811,7 @@ fn corrupt_checkpoints_degrade_to_accounted_state_loss() {
         Ok(s) => s,
         Err(e) => panic!("shutdown: {e}"),
     };
-    assert_conserved(&summary, "corrupt-every-checkpoint");
+    assert_conserved(&cfg, &summary, "corrupt-every-checkpoint");
     let state_loss = summary
         .recoveries
         .iter()
