@@ -1,29 +1,18 @@
-//! Self-healing pipeline harness: supervision overhead when healthy,
-//! restart latency when not.
+//! Self-healing pipeline harness: restart latency under injected crashes.
 //!
 //! ```text
 //! cargo run -p qf-bench --release --bin chaos -- \
-//!     [--tiny] [--out PATH] [--repeats N] [--items N] [--queue N] [--slab N] \
+//!     [--tiny] [--out PATH] [--items N] [--queue N] [--slab N] \
 //!     [--crashes N] [--metrics-out PREFIX] [--no-metrics]
 //! ```
 //!
-//! For each shard count in {1, 2, 4, 8}, streams a Zipf trace through an
-//! unsupervised pipeline and a supervised one (checkpoint + journal on,
-//! zero faults) and records the throughput delta — the cost of the
-//! self-healing machinery, budgeted at 10%. Then runs one supervised
-//! pipeline under repeated injected worker crashes and distills the
-//! restart-latency distribution (p50/p99/max), replay volume, and the
-//! accounted loss from the supervisor's own recovery records.
+//! Streams a Zipf trace through a 4-shard pipeline under repeated
+//! injected worker crashes and distills the restart-latency distribution
+//! (p50/p99/max), replay volume, and the accounted loss from the
+//! supervisor's own recovery records.
 //!
 //! Writes `BENCH_chaos.json` (schema documented on
 //! `qf_bench::chaos::render_json`). `--tiny` is the CI smoke mode.
-//!
-//! Shard points where the host has fewer cores than `shards + 1` threads
-//! are tagged `"oversubscribed": true` in the JSON (and `OVERSUBSCRIBED`
-//! on the console): the overhead fraction stays meaningful — baseline and
-//! supervised runs time-slice identically — but the absolute Mops are
-//! scheduler throughput, not parallel scaling. This bin never pins
-//! threads; placement is the OS scheduler's.
 //!
 //! Like the `detect` bin, an end-of-run telemetry snapshot lands at
 //! `<prefix>.metrics.{json,prom}` (default prefix `results/bench-chaos`,
@@ -31,20 +20,19 @@
 //! supervision counters (restarts, replays, checkpoint seals) are only
 //! live under `--features telemetry`.
 
-use qf_bench::chaos::{measure_overhead, measure_recovery, render_json, ChaosBenchReport};
+use qf_bench::chaos::{measure_recovery, render_json, ChaosBenchReport};
 use qf_bench::pipeline::detect_nproc;
 use qf_datasets::{zipf_dataset, ZipfConfig};
 use qf_pipeline::{BackpressurePolicy, PipelineConfig, SupervisorConfig};
 use quantile_filter::Criteria;
 use std::time::Duration;
 
-const SHARD_POINTS: [usize; 4] = [1, 2, 4, 8];
 const SHARD_MEMORY: usize = 32 * 1024;
 const RECOVERY_SHARDS: usize = 4;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: chaos [--tiny] [--out PATH] [--repeats N] [--items N] [--queue N] [--slab N] \
+        "usage: chaos [--tiny] [--out PATH] [--items N] [--queue N] [--slab N] \
          [--crashes N] [--metrics-out PREFIX] [--no-metrics]"
     );
     std::process::exit(2)
@@ -54,7 +42,6 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut tiny = false;
     let mut out = "BENCH_chaos.json".to_string();
-    let mut repeats: Option<usize> = None;
     let mut items: Option<usize> = None;
     let mut queue_capacity = 1024usize;
     let mut slab_capacity = 256usize;
@@ -69,10 +56,6 @@ fn main() {
             "--tiny" => tiny = true,
             "--out" => {
                 out = val(i);
-                i += 1;
-            }
-            "--repeats" => {
-                repeats = Some(val(i).parse().unwrap_or_else(|_| usage()));
                 i += 1;
             }
             "--items" => {
@@ -101,7 +84,6 @@ fn main() {
         i += 1;
     }
 
-    let repeats = repeats.unwrap_or(if tiny { 1 } else { 3 });
     let crashes = crashes.unwrap_or(if tiny { 4 } else { 16 });
     let nproc = detect_nproc();
 
@@ -128,15 +110,15 @@ fn main() {
     };
 
     println!(
-        "chaos: mode={} repeats={repeats} nproc={nproc} queue={queue_capacity} \
+        "chaos: mode={} nproc={nproc} queue={queue_capacity} \
          slab={slab_capacity} crashes={crashes} trace zipf {} items / {} keys",
         if tiny { "tiny" } else { "full" },
         data.items.len(),
         data.key_count
     );
 
-    let pipe_config = |shards: usize| PipelineConfig {
-        shards,
+    let config = PipelineConfig {
+        shards: RECOVERY_SHARDS,
         criteria,
         memory_bytes_per_shard: SHARD_MEMORY,
         queue_capacity,
@@ -145,32 +127,8 @@ fn main() {
         seed: 0,
     };
 
-    let mut overhead = Vec::new();
-    for shards in SHARD_POINTS {
-        let p = match measure_overhead(pipe_config(shards), sup, &data.items, repeats) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("overhead run (shards={shards}): {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "overhead x{shards}: baseline {:.2} Mops | supervised {:.2} Mops | \
-             overhead {:.1}%{}",
-            p.baseline_mops,
-            p.supervised_mops,
-            p.overhead_frac() * 100.0,
-            if p.oversubscribed {
-                " | OVERSUBSCRIBED"
-            } else {
-                ""
-            }
-        );
-        overhead.push(p);
-    }
-
     println!("injecting {crashes} worker crashes (panic backtraces below are expected)...");
-    let recovery = match measure_recovery(pipe_config(RECOVERY_SHARDS), sup, &data.items, crashes) {
+    let recovery = match measure_recovery(config, sup, &data.items, crashes) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("recovery run: {e}");
@@ -191,12 +149,10 @@ fn main() {
     let report = ChaosBenchReport {
         mode: if tiny { "tiny" } else { "full" }.to_string(),
         nproc,
-        repeats,
         queue_capacity,
         slab_capacity,
         checkpoint_interval: sup.checkpoint_interval,
         items: data.items.len(),
-        overhead,
         recovery,
     };
     let json = render_json(&report);

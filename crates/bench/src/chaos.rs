@@ -1,54 +1,17 @@
-//! The self-healing-pipeline harness behind the `chaos` bin.
-//!
-//! Two questions, measured separately:
-//!
-//! * **What does supervision cost when nothing goes wrong?** The same
-//!   trace is streamed through an unsupervised pipeline and a supervised
-//!   one (checkpointing + journaling on, zero faults); the overhead is
-//!   the relative throughput delta. The acceptance budget is 10%.
-//! * **How fast is recovery when something does?** A poison key is
-//!   injected at evenly spaced points of the trace, each delivery
-//!   killing its worker; the supervisor's own [`RecoveryRecord`]s give
-//!   the restart latency distribution (p50/p99/max) plus the replay and
-//!   loss totals.
+//! The self-healing-pipeline harness behind the `chaos` bin: how fast is
+//! recovery when something goes wrong? A poison key is injected at evenly
+//! spaced points of the trace, each delivery killing its worker; the
+//! supervisor's own [`RecoveryRecord`]s give the restart latency
+//! distribution (p50/p99/max) plus the replay and loss totals.
 //!
 //! Results render as the `BENCH_chaos.json` schema documented on
 //! [`render_json`].
 
-use crate::pipeline::{measure_pipeline, PipelineMeasurement};
 use qf_datasets::Item;
 use qf_pipeline::{
     ChaosPlan, Fault, Pipeline, PipelineConfig, PipelineError, RecoveryRecord, SupervisorConfig,
 };
 use qf_telemetry::LogHistogram;
-use std::time::Instant;
-
-/// One shard point of the no-fault overhead comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct OverheadPoint {
-    /// Shard / worker count.
-    pub shards: usize,
-    /// End-to-end Mops without supervision (the PR-5 baseline path).
-    pub baseline_mops: f64,
-    /// End-to-end Mops with checkpointing + journaling on, zero faults.
-    pub supervised_mops: f64,
-    /// True when the host had fewer cores than `shards + 1` threads, so
-    /// both sides of the comparison time-slice instead of running in
-    /// parallel. The overhead fraction stays meaningful (both sides are
-    /// equally oversubscribed) but the absolute Mops are not a scaling
-    /// claim.
-    pub oversubscribed: bool,
-}
-
-impl OverheadPoint {
-    /// Relative throughput lost to supervision (0.1 == 10% slower).
-    pub fn overhead_frac(&self) -> f64 {
-        if self.baseline_mops <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.supervised_mops / self.baseline_mops).max(0.0)
-    }
-}
 
 /// Restart-latency distribution over one fault-injection run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,59 +50,6 @@ fn latency_stats(latencies_us: impl IntoIterator<Item = u64>) -> (usize, u64, u6
         snap.quantile(0.99).min(max),
         max,
     )
-}
-
-/// Stream `items` through a *supervised* pipeline with no faults and
-/// time it like [`measure_pipeline`] does, keeping the fastest of
-/// `repeats` runs.
-pub fn measure_supervised(
-    config: PipelineConfig,
-    sup: SupervisorConfig,
-    items: &[Item],
-    repeats: usize,
-) -> Result<PipelineMeasurement, PipelineError> {
-    let mut best: Option<PipelineMeasurement> = None;
-    for _ in 0..repeats.max(1) {
-        let mut pipe = Pipeline::launch_supervised(config, sup)?;
-        let t0 = Instant::now();
-        for it in items {
-            pipe.ingest(it.key, it.value)?;
-        }
-        let ingest_seconds = t0.elapsed().as_secs_f64();
-        let summary = pipe.shutdown()?;
-        let total_seconds = t0.elapsed().as_secs_f64();
-        if summary.lost_to_crash != 0 || summary.restarts != 0 {
-            return Err(PipelineError::InvalidConfig {
-                reason: format!(
-                    "no-fault supervised run crashed: restarts {} lost {}",
-                    summary.restarts, summary.lost_to_crash
-                ),
-            });
-        }
-        let m = PipelineMeasurement {
-            shards: config.shards,
-            slab_capacity: config.slab_capacity,
-            oversubscribed: crate::pipeline::detect_nproc() < config.shards + 1,
-            policy: crate::pipeline::policy_name(config.policy),
-            offered: summary.offered,
-            enqueued: summary.enqueued,
-            dropped: summary.dropped,
-            processed: summary.processed,
-            shed: summary.shed,
-            reported_keys: 0,
-            ingest_seconds,
-            total_seconds,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| m.total_seconds < b.total_seconds)
-        {
-            best = Some(m);
-        }
-    }
-    best.ok_or_else(|| PipelineError::InvalidConfig {
-        reason: "no repeats executed".into(),
-    })
 }
 
 /// Stream `items` through a supervised pipeline while a poison key kills
@@ -214,8 +124,6 @@ pub struct ChaosBenchReport {
     pub mode: String,
     /// `available_parallelism` of the measuring host.
     pub nproc: usize,
-    /// Best-of repeats per overhead point.
-    pub repeats: usize,
     /// Items per shard queue (`PipelineConfig::queue_capacity`; the ring
     /// holds that many items rounded up to whole slabs).
     pub queue_capacity: usize,
@@ -225,39 +133,21 @@ pub struct ChaosBenchReport {
     pub checkpoint_interval: u64,
     /// Trace length.
     pub items: usize,
-    /// One point per shard count.
-    pub overhead: Vec<OverheadPoint>,
     /// The fault-injection distillate.
     pub recovery: RecoveryStats,
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "0".into()
-    }
 }
 
 /// Render the report as the `BENCH_chaos.json` document:
 ///
 /// ```json
 /// {
-///   "schema": "qf-bench-chaos/v2",
+///   "schema": "qf-bench-chaos/v3",
 ///   "mode": "full",                   // or "tiny" (CI smoke)
 ///   "nproc": 8,
-///   "repeats": 3,
 ///   "queue_capacity": 1024,           // items per shard queue
 ///   "slab_capacity": 256,             // items per handoff slab
 ///   "checkpoint_interval": 8192,
 ///   "items": 2000000,
-///   "overhead": [{
-///     "shards": 1,
-///     "baseline_mops": 8.5,           // unsupervised end-to-end rate
-///     "supervised_mops": 8.1,         // checkpointing on, zero faults
-///     "overhead_frac": 0.047,         // budget: <= 0.10
-///     "oversubscribed": false         // nproc < shards + 1 on this host
-///   }, ...],
 ///   "recovery": {
 ///     "samples": 16,                  // restarts observed
 ///     "restart_latency_p50_us": 900,
@@ -272,10 +162,9 @@ fn num(x: f64) -> String {
 pub fn render_json(report: &ChaosBenchReport) -> String {
     let mut out = String::with_capacity(2048);
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"qf-bench-chaos/v2\",\n");
+    out.push_str("  \"schema\": \"qf-bench-chaos/v3\",\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", report.mode));
     out.push_str(&format!("  \"nproc\": {},\n", report.nproc));
-    out.push_str(&format!("  \"repeats\": {},\n", report.repeats));
     out.push_str(&format!(
         "  \"queue_capacity\": {},\n",
         report.queue_capacity
@@ -286,24 +175,6 @@ pub fn render_json(report: &ChaosBenchReport) -> String {
         report.checkpoint_interval
     ));
     out.push_str(&format!("  \"items\": {},\n", report.items));
-    out.push_str("  \"overhead\": [\n");
-    for (i, p) in report.overhead.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"baseline_mops\": {}, \"supervised_mops\": {}, \
-             \"overhead_frac\": {}, \"oversubscribed\": {}}}{}\n",
-            p.shards,
-            num(p.baseline_mops),
-            num(p.supervised_mops),
-            num(p.overhead_frac()),
-            p.oversubscribed,
-            if i + 1 < report.overhead.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
     let r = &report.recovery;
     out.push_str("  \"recovery\": {\n");
     out.push_str(&format!("    \"samples\": {},\n", r.samples));
@@ -315,23 +186,6 @@ pub fn render_json(report: &ChaosBenchReport) -> String {
     out.push_str(&format!("    \"processed\": {}\n", r.processed));
     out.push_str("  }\n}\n");
     out
-}
-
-/// Baseline-vs-supervised comparison for one shard count.
-pub fn measure_overhead(
-    config: PipelineConfig,
-    sup: SupervisorConfig,
-    items: &[Item],
-    repeats: usize,
-) -> Result<OverheadPoint, PipelineError> {
-    let baseline = measure_pipeline(config, items, repeats)?;
-    let supervised = measure_supervised(config, sup, items, repeats)?;
-    Ok(OverheadPoint {
-        shards: config.shards,
-        baseline_mops: baseline.sustained_mops(),
-        supervised_mops: supervised.sustained_mops(),
-        oversubscribed: baseline.oversubscribed,
-    })
 }
 
 #[cfg(test)]
@@ -401,19 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_point_measures_both_modes() {
-        let items = trace(30_000, 500, 9);
-        let p = match measure_overhead(config(2), sup(), &items, 1) {
-            Ok(p) => p,
-            Err(e) => panic!("measure: {e}"),
-        };
-        assert_eq!(p.shards, 2);
-        assert!(p.baseline_mops > 0.0);
-        assert!(p.supervised_mops > 0.0);
-        assert!(p.overhead_frac() >= 0.0);
-    }
-
-    #[test]
     fn recovery_stats_capture_each_injected_crash() {
         let items = trace(30_000, 500, 10);
         let stats = match measure_recovery(config(2), sup(), &items, 3) {
@@ -435,25 +276,10 @@ mod tests {
         let report = ChaosBenchReport {
             mode: "tiny".into(),
             nproc: 8,
-            repeats: 1,
             queue_capacity: 256,
             slab_capacity: 64,
             checkpoint_interval: 512,
             items: 1000,
-            overhead: vec![
-                OverheadPoint {
-                    shards: 1,
-                    baseline_mops: 8.0,
-                    supervised_mops: 7.6,
-                    oversubscribed: false,
-                },
-                OverheadPoint {
-                    shards: 2,
-                    baseline_mops: 12.0,
-                    supervised_mops: 11.5,
-                    oversubscribed: true,
-                },
-            ],
             recovery: RecoveryStats {
                 samples: 4,
                 p50_us: 900,
@@ -473,18 +299,14 @@ mod tests {
             );
         }
         for key in [
-            "\"qf-bench-chaos/v2\"",
+            "\"qf-bench-chaos/v3\"",
             "\"slab_capacity\": 64",
             "\"checkpoint_interval\": 512",
-            "\"overhead_frac\": 0.0500",
-            "\"oversubscribed\": false",
-            "\"oversubscribed\": true",
             "\"restart_latency_p50_us\": 900",
             "\"restart_latency_p99_us\": 2400",
             "\"lost_total\": 5",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        assert!(!json.contains(",\n  ]"));
     }
 }

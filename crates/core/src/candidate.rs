@@ -32,7 +32,7 @@
 //! written by either layout restore into the other bit-identically.
 
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
-use qf_hash::{fingerprint16, fingerprint16_prehashed, HashedKey, RowHasher, StreamKey};
+use qf_hash::{fingerprint16, fingerprint16_prehashed, xxh64, HashedKey, RowHasher, StreamKey};
 use qf_sketch::simd::{broadcast4, eq_lanes4, movemask4, pack4, LANES_PER_WORD};
 
 /// Bytes charged per entry: 2 (fingerprint) + 4 (Qweight counter).
@@ -101,7 +101,7 @@ pub enum OfferOutcome {
 }
 
 /// The candidate array, in structure-of-arrays layout (see module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CandidatePart {
     /// Fingerprint of every slot; 0 for free slots.
     fps: Vec<u16>,
@@ -116,6 +116,49 @@ pub struct CandidatePart {
     occ_words: usize,
     bucket_hash: RowHasher,
     fp_seed: u64,
+}
+
+// By hand so that `clone_from` copies into the existing slot arrays.
+impl Clone for CandidatePart {
+    fn clone(&self) -> Self {
+        Self {
+            fps: self.fps.clone(),
+            qws: self.qws.clone(),
+            occ: self.occ.clone(),
+            bucket_hash: self.bucket_hash.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.fps.clone_from(&source.fps);
+        self.qws.clone_from(&source.qws);
+        self.occ.clone_from(&source.occ);
+        self.bucket_hash.clone_from(&source.bucket_hash);
+        self.buckets = source.buckets;
+        self.bucket_len = source.bucket_len;
+        self.occ_words = source.occ_words;
+        self.fp_seed = source.fp_seed;
+    }
+}
+
+/// Primitive integers, the element types of the slot arrays: no padding,
+/// every byte initialized.
+trait SlotWord: Copy {}
+impl SlotWord for u16 {}
+impl SlotWord for i32 {}
+impl SlotWord for u64 {}
+
+/// xxh64 of a slot array's in-memory bytes (native endian), chained from
+/// `seed`.
+fn digest_words<T: SlotWord>(words: &[T], seed: u64) -> u64 {
+    // SAFETY: `SlotWord` types are primitive integers, so every byte of
+    // `words` is initialized; `u8` has alignment 1; and the byte slice
+    // covers exactly `size_of_val(words)` bytes of the same borrow.
+    let bytes = unsafe {
+        std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words))
+    };
+    xxh64(bytes, seed)
 }
 
 impl CandidatePart {
@@ -655,6 +698,22 @@ impl CandidatePart {
     /// The fingerprint hash seed, for snapshotting.
     pub fn fp_seed(&self) -> u64 {
         self.fp_seed
+    }
+
+    /// xxh64 of the fingerprint, Qweight and occupancy arrays, chained
+    /// from `seed` (the candidate half of
+    /// [`crate::QuantileFilter::state_digest`]).
+    pub(crate) fn state_digest(&self, seed: u64) -> u64 {
+        digest_words(
+            &self.occ,
+            digest_words(&self.qws, digest_words(&self.fps, seed)),
+        )
+    }
+
+    /// The three slot arrays, for tests that inspect or damage them.
+    #[cfg(test)]
+    pub(crate) fn slots_mut(&mut self) -> (&mut Vec<u16>, &mut Vec<i32>, &mut Vec<u64>) {
+        (&mut self.fps, &mut self.qws, &mut self.occ)
     }
 
     /// Upper bound on restored slot counts; a corrupted dimension field

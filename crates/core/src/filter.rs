@@ -6,7 +6,7 @@ use crate::criteria::Criteria;
 use crate::error::QfError;
 use crate::strategy::ElectionStrategy;
 use crate::vague::{VagueKey, VaguePart};
-use qf_hash::{HashedKey, SplitMix64, StreamKey};
+use qf_hash::{mix64, HashedKey, SplitMix64, StreamKey};
 use qf_sketch::{CountSketch, SplitWeight, StochasticRounder, WeightSketch};
 
 /// Items per chunk of the two-pass [`QuantileFilter::insert_batch`]. Sized
@@ -61,9 +61,12 @@ impl FilterStats {
     }
 }
 
+/// Seed of [`QuantileFilter::state_digest`].
+const DIGEST_SEED: u64 = 0x5EED_D16E_57A7_E000;
+
 /// The QuantileFilter of Algorithm 2, generic over the vague-part sketch
 /// (`CS` by default; `CMS` for the Fig. 12 ablation).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QuantileFilter<S: WeightSketch = CountSketch<i8>> {
     criteria: Criteria,
     candidate: CandidatePart,
@@ -77,6 +80,43 @@ pub struct QuantileFilter<S: WeightSketch = CountSketch<i8>> {
     // serialized: snapshots restore `criteria` and recompute.
     report_at: f64,
     above: SplitWeight,
+}
+
+// By hand so that `clone_from` copies into the destination's arrays: a
+// checkpoint refreshed this way allocates nothing.
+impl<S: WeightSketch + Clone> Clone for QuantileFilter<S> {
+    fn clone(&self) -> Self {
+        Self {
+            candidate: self.candidate.clone(),
+            vague: self.vague.clone(),
+            rounder: self.rounder.clone(),
+            rng: self.rng.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            criteria,
+            candidate,
+            vague,
+            strategy,
+            rounder,
+            rng,
+            stats,
+            report_at,
+            above,
+        } = source;
+        self.candidate.clone_from(candidate);
+        self.vague.clone_from(vague);
+        self.criteria = *criteria;
+        self.strategy = *strategy;
+        self.rounder.clone_from(rounder);
+        self.rng.clone_from(rng);
+        self.stats = *stats;
+        self.report_at = *report_at;
+        self.above = *above;
+    }
 }
 
 impl<S: WeightSketch> QuantileFilter<S> {
@@ -454,6 +494,27 @@ impl<S: WeightSketch> QuantileFilter<S> {
         self.candidate.clear();
         self.vague.clear();
         self.stats = FilterStats::default();
+    }
+
+    /// An xxh64 digest of the filter's mutable state: the candidate slots,
+    /// the sketch, both RNG states and the statistics. Equal filters have
+    /// equal digests, so a digest stored next to a copy tells a damaged
+    /// copy from a good one. It hashes memory, not the snapshot encoding,
+    /// and is only meaningful within one process.
+    pub fn state_digest(&self) -> u64 {
+        let s = self.stats;
+        let scalars = [
+            self.rounder.state(),
+            self.rng.state(),
+            s.candidate_hits,
+            s.candidate_inserts,
+            s.vague_visits,
+            s.exchanges,
+            s.reports,
+        ];
+        let seed = scalars.iter().fold(DIGEST_SEED, |h, &x| mix64(h ^ x));
+        let seed = self.candidate.state_digest(seed);
+        self.vague.inner().state_digest(seed)
     }
 
     /// Stochastic-rounder RNG state, captured by snapshots so a restored
@@ -997,6 +1058,9 @@ mod tests {
         fn kind_name(&self) -> &'static str {
             self.inner.kind_name()
         }
+        fn state_digest(&self, seed: u64) -> u64 {
+            self.inner.state_digest(seed)
+        }
     }
 
     /// A filter whose 1×1 candidate part funnels nearly everything through
@@ -1082,5 +1146,75 @@ mod tests {
             visits,
             "each vague visit must derive its estimate exactly once"
         );
+    }
+
+    /// Where the arrays of `f` live: the three candidate slot arrays and
+    /// the sketch grid.
+    fn array_ptrs(f: &mut QuantileFilter) -> [usize; 4] {
+        let cells = f.vague.inner().raw_cells().as_ptr() as usize;
+        let (fps, qws, occ) = f.candidate.slots_mut();
+        [
+            fps.as_ptr() as usize,
+            qws.as_ptr() as usize,
+            occ.as_ptr() as usize,
+            cells,
+        ]
+    }
+
+    /// A checkpoint copy: `clone_from` into a filter of the same shape
+    /// reuses its arrays and reproduces the source byte for byte, and the
+    /// state digest moves when any one piece of state does.
+    #[test]
+    fn clone_from_reuses_arrays_and_the_digest_sees_every_component() {
+        use qf_hash::wire::{ByteReader, ByteWriter};
+        use qf_sketch::snapshot::SketchState;
+
+        let mut live = small_filter(default_criteria());
+        for i in 0..2_000u64 {
+            let _ = live.insert(&(i % 97), if i % 5 == 0 { 500.0 } else { 10.0 });
+        }
+        let mut copy = small_filter(default_criteria());
+        let before = array_ptrs(&mut copy);
+        copy.clone_from(&live);
+        assert_eq!(array_ptrs(&mut copy), before, "clone_from reallocated");
+        assert_eq!(copy.snapshot(), live.snapshot());
+        assert_eq!(copy.state_digest(), live.state_digest());
+
+        let flip_cell = |f: &mut QuantileFilter| {
+            let sketch = f.vague.inner();
+            let mut w = ByteWriter::new();
+            sketch.write_state(&mut w);
+            let mut state = w.into_bytes();
+            // The last state byte is the last `i8` cell of the grid.
+            if let Some(last) = state.last_mut() {
+                *last ^= 1;
+            }
+            let damaged = CountSketch::from_state(sketch.shape(), &mut ByteReader::new(&state));
+            f.vague = VaguePart::new(damaged.unwrap());
+        };
+        type Mutation<'a> = (&'a str, &'a dyn Fn(&mut QuantileFilter));
+        let mutations: [Mutation; 11] = [
+            ("fingerprint", &|f| f.candidate.slots_mut().0[0] ^= 1),
+            ("qweight", &|f| f.candidate.slots_mut().1[0] ^= 1),
+            ("occupancy bit", &|f| f.candidate.slots_mut().2[0] ^= 1),
+            ("sketch cell", &flip_cell),
+            ("rounder", &|f| {
+                f.rounder = StochasticRounder::from_state(f.rounder.state() ^ 1)
+            }),
+            ("rng", &|f| {
+                f.rng = SplitMix64::from_state(f.rng.state() ^ 1)
+            }),
+            ("candidate_hits", &|f| f.stats.candidate_hits += 1),
+            ("candidate_inserts", &|f| f.stats.candidate_inserts += 1),
+            ("vague_visits", &|f| f.stats.vague_visits += 1),
+            ("exchanges", &|f| f.stats.exchanges += 1),
+            ("reports", &|f| f.stats.reports += 1),
+        ];
+        let base = live.state_digest();
+        for (name, mutate) in mutations {
+            let mut f = live.clone();
+            mutate(&mut f);
+            assert_ne!(f.state_digest(), base, "{name} is not in the digest");
+        }
     }
 }

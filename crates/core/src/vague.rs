@@ -55,9 +55,22 @@ impl qf_hash::StreamKey for VagueKey {
 
 /// Thin wrapper adding the composite-key discipline over any
 /// [`WeightSketch`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct VaguePart<S: WeightSketch> {
     sketch: S,
+}
+
+// By hand so that `clone_from` reaches the sketch's own.
+impl<S: WeightSketch + Clone> Clone for VaguePart<S> {
+    fn clone(&self) -> Self {
+        Self {
+            sketch: self.sketch.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.sketch.clone_from(&source.sketch);
+    }
 }
 
 impl<S: WeightSketch> VaguePart<S> {

@@ -65,10 +65,10 @@ impl PipelineDetector {
         self.drive(Pipeline::launch(self.config)?, items)
     }
 
-    /// Same run, but through the self-healing layer: checkpointing and
-    /// journaling on, watchdog armed. With no faults injected this must
-    /// report exactly what [`run`](Self::run) reports — the equivalence
-    /// suite pins that supervision is observationally free.
+    /// Same run with explicit supervision settings (checkpoint interval,
+    /// watchdog, backoff). With no faults injected this must report
+    /// exactly what [`run`](Self::run) reports — the equivalence suite
+    /// pins that the settings are observationally free.
     pub fn run_supervised(
         &self,
         sup: SupervisorConfig,

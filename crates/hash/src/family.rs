@@ -19,10 +19,25 @@ use crate::splitmix::{mix64, SplitMix64};
 const SIGN_MASK: u64 = (1 << 63) - 1;
 
 /// A family of `d` seeded hash functions over `[0, w)` with paired signs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HashFamily {
     seeds: Vec<u64>,
     width: usize,
+}
+
+// By hand so that `clone_from` copies into the existing seed table.
+impl Clone for HashFamily {
+    fn clone(&self) -> Self {
+        Self {
+            seeds: self.seeds.clone(),
+            width: self.width,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.seeds.clone_from(&source.seeds);
+        self.width = source.width;
+    }
 }
 
 impl HashFamily {

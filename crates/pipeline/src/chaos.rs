@@ -2,8 +2,9 @@
 //!
 //! A [`ChaosPlan`] describes *what* goes wrong — worker panics, hangs
 //! (sleeps past the watchdog deadline), poison items, checkpoint
-//! corruption — and *when*, addressed by pop ordinal or seal ordinal so a
-//! plan replays identically run-to-run. [`Pipeline::launch_chaos`]
+//! corruption (a flipped bit of a checkpoint's stored digest) — and
+//! *when*, addressed by pop ordinal or seal ordinal so a plan replays
+//! identically run-to-run. [`Pipeline::launch_chaos`]
 //! (crate::Pipeline::launch_chaos) arms the plan; the armed state is
 //! shared across worker generations through an `Arc`, so a fault with
 //! `times: 1` fires exactly once even though the shard that tripped it is
@@ -65,8 +66,9 @@ pub enum Fault {
         /// How many pops of this key panic before it turns benign.
         times: u32,
     },
-    /// Flip one bit in the bytes of `shard`'s `seal`-th checkpoint
-    /// (1-based), exercising the double-buffer fallback; fires once.
+    /// Flip one bit of the stored digest of `shard`'s `seal`-th
+    /// checkpoint (1-based), so recovery finds the copy damaged and
+    /// exercises the double-buffer fallback; fires once.
     CorruptCheckpoint {
         /// Target shard.
         shard: usize,
@@ -195,10 +197,10 @@ impl ArmedChaos {
         }
     }
 
-    /// Probe the checkpoint faults for (`shard`, `seal` ordinal) and
-    /// corrupt `bytes` in place on a match (one flipped bit mid-buffer —
-    /// exactly the torn-write class the wire-v2 checksum must catch).
-    pub(crate) fn corrupt_checkpoint(&self, shard: usize, seal: u64, bytes: &mut Vec<u8>) {
+    /// Probe the checkpoint faults for (`shard`, `seal` ordinal) and flip
+    /// one bit of the checkpoint's stored `digest` on a match — the copy
+    /// then reads as damaged, which is what the digest exists to catch.
+    pub(crate) fn corrupt_checkpoint(&self, shard: usize, seal: u64, digest: &mut u64) {
         for (idx, fault) in self.shared.faults.iter().enumerate() {
             let hit = match *fault {
                 Fault::CorruptCheckpoint { shard: s, seal: n } => s == shard && n == seal,
@@ -206,12 +208,7 @@ impl ArmedChaos {
                 _ => false,
             };
             if hit && self.consume(idx) {
-                if bytes.is_empty() {
-                    bytes.push(0xFF);
-                } else {
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0x10;
-                }
+                *digest ^= 0x10;
             }
         }
     }
@@ -267,13 +264,13 @@ mod tests {
         let armed = ChaosPlan::new()
             .with(Fault::CorruptCheckpoint { shard: 2, seal: 2 })
             .arm();
-        let mut bytes = [7u8; 16].to_vec();
-        let clean = bytes.clone();
-        armed.corrupt_checkpoint(2, 1, &mut bytes);
-        assert_eq!(bytes, clean, "seal 1 untouched");
-        armed.corrupt_checkpoint(2, 2, &mut bytes);
-        assert_ne!(bytes, clean, "seal 2 corrupted");
-        let mut again = clean.clone();
+        let clean = 7u64;
+        let mut digest = clean;
+        armed.corrupt_checkpoint(2, 1, &mut digest);
+        assert_eq!(digest, clean, "seal 1 untouched");
+        armed.corrupt_checkpoint(2, 2, &mut digest);
+        assert_ne!(digest, clean, "seal 2 corrupted");
+        let mut again = clean;
         armed.corrupt_checkpoint(2, 2, &mut again);
         assert_eq!(again, clean, "budget spent after one corruption");
     }
@@ -284,13 +281,13 @@ mod tests {
             .with(Fault::CorruptEveryCheckpoint { shard: 0 })
             .arm();
         for seal in 1..50u64 {
-            let mut bytes = [0u8; 8].to_vec();
-            armed.corrupt_checkpoint(0, seal, &mut bytes);
-            assert_ne!(bytes, [0u8; 8].to_vec(), "seal {seal} should corrupt");
+            let mut digest = 0u64;
+            armed.corrupt_checkpoint(0, seal, &mut digest);
+            assert_ne!(digest, 0, "seal {seal} should corrupt");
         }
-        let mut other = [0u8; 8].to_vec();
+        let mut other = 0u64;
         armed.corrupt_checkpoint(1, 1, &mut other);
-        assert_eq!(other, [0u8; 8].to_vec(), "other shards untouched");
+        assert_eq!(other, 0, "other shards untouched");
     }
 
     #[test]
@@ -304,15 +301,5 @@ mod tests {
             .arm();
         armed.before_apply(0, 0, 1); // sleeps ~1ms, no panic
         armed.before_apply(0, 0, 1); // disarmed
-    }
-
-    #[test]
-    fn empty_bytes_still_get_corrupted() {
-        let armed = ChaosPlan::new()
-            .with(Fault::CorruptEveryCheckpoint { shard: 0 })
-            .arm();
-        let mut bytes = Vec::new();
-        armed.corrupt_checkpoint(0, 1, &mut bytes);
-        assert!(!bytes.is_empty());
     }
 }

@@ -32,12 +32,16 @@
 //! * **Graceful shutdown** — queues drain fully and the final accounting
 //!   conserves: offered = enqueued + dropped + rejected and
 //!   enqueued = processed + shed + lost ([`Pipeline::shutdown`]).
-//! * **Self-healing (opt-in)** — [`Pipeline::launch_supervised`] adds
-//!   per-shard checkpoint/replay recovery, a hang watchdog, and restart
-//!   with capped backoff, so a crashed or wedged worker costs a bounded,
-//!   *accounted* loss window instead of the pipeline. The qf-chaos
-//!   harness ([`ChaosPlan`] + [`Pipeline::launch_chaos`]) injects panics,
-//!   hangs, poison keys, and checkpoint corruption to prove it.
+//! * **Self-healing** — every pipeline runs per-shard checkpoint/replay
+//!   recovery, a hang watchdog, and restart with capped backoff, so a
+//!   crashed or wedged worker costs a bounded, *accounted* loss window
+//!   instead of the pipeline ([`Pipeline::launch_supervised`] tunes it
+//!   with a [`SupervisorConfig`]). A checkpoint is a copy of the shard's
+//!   filter plus a digest, so each shard holds its filter, two checkpoint
+//!   copies, and a replay journal of `2 × (checkpoint_interval +
+//!   slab_capacity)` entries. The qf-chaos harness ([`ChaosPlan`] +
+//!   [`Pipeline::launch_chaos`]) injects panics, hangs, poison keys, and
+//!   checkpoint corruption to prove it.
 //!
 //! ```
 //! use qf_pipeline::{BackpressurePolicy, Pipeline, PipelineConfig};
@@ -102,8 +106,8 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (qf_hash::mix64(key ^ 0x5AAD) % shards as u64) as usize
 }
 
-/// Pipeline failures. Everything is typed — worker panics surface as
-/// [`Self::WorkerDied`], never as a hang or a propagated panic.
+/// Pipeline failures. Everything is typed — a worker panic is recovered
+/// by the supervisor, never propagated or left hanging.
 #[derive(Debug)]
 pub enum PipelineError {
     /// The configuration cannot be launched.
@@ -111,8 +115,8 @@ pub enum PipelineError {
         /// What was wrong with it.
         reason: String,
     },
-    /// A shard worker exited (panic or premature death); the pipeline can
-    /// no longer make progress on that shard.
+    /// A shard's state could not be produced: a quarantined shard whose
+    /// filter could not be rebuilt for a snapshot.
     WorkerDied {
         /// The dead worker's shard index.
         shard: usize,

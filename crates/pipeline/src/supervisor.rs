@@ -25,16 +25,18 @@
 //! ## Checkpoint + journal: what recovery rebuilds from
 //!
 //! Every worker appends each applied item to a bounded in-memory
-//! **replay journal** and seals a wire-v2 snapshot **checkpoint** every
-//! `checkpoint_interval` applied items. Checkpoints are double-buffered:
-//! a new seal lands in the standby slot and only then becomes "latest",
-//! so a torn or corrupted checkpoint never replaces a good one. The
-//! journal is pruned only up to the *older* checkpoint's sequence, which
-//! means `older checkpoint + journal` still reconstructs the full state
-//! when the newest checkpoint fails its own checksum — corruption costs
-//! replay time, not data.
+//! **replay journal** and seals a **checkpoint** every
+//! `checkpoint_interval` applied items. A checkpoint is a copy of the
+//! filter — `clone_from` into the slot's own filter, so it allocates
+//! nothing after the slot's first seal — plus an xxh64 digest of the
+//! copy's state. Checkpoints are double-buffered: a new seal lands in the
+//! standby slot and only then becomes "latest", so a torn checkpoint
+//! never replaces a good one. The journal is pruned only up to the
+//! *older* checkpoint's sequence, which means `older checkpoint +
+//! journal` still reconstructs the full state when the newest
+//! checkpoint fails its digest — corruption costs replay time, not data.
 //!
-//! Recovery therefore rebuilds `restore(newest valid checkpoint) +
+//! Recovery therefore rebuilds `copy(newest valid checkpoint) +
 //! replay(journal suffix)`, yielding a filter equal to the crashed one at
 //! its last journaled item. Everything past that point — the slab being
 //! applied at crash time plus whatever slabs sat in the SPSC ring — is
@@ -118,14 +120,15 @@ impl ShardState {
 
 /// Supervision policy knobs. Passed to
 /// [`Pipeline::launch_supervised`](crate::Pipeline::launch_supervised);
-/// [`Default`] is tuned for production-ish streams (checkpoint every 8Ki
-/// items, 200 ms watchdog).
+/// [`Default`] is what [`Pipeline::launch`](crate::Pipeline::launch) and
+/// [`Pipeline::restore`](crate::Pipeline::restore) use, tuned for
+/// production-ish streams (checkpoint every 8Ki items, 200 ms watchdog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Seal a checkpoint every this many applied items (per shard). The
-    /// replay journal is sized to `2 × (interval + burst)` entries so
-    /// that even a corrupted newest checkpoint recovers losslessly from
-    /// the older one.
+    /// replay journal is sized to `2 × (interval + slab_capacity)`
+    /// entries so that even a corrupted newest checkpoint recovers
+    /// losslessly from the older one.
     pub checkpoint_interval: u64,
     /// How long a shard's progress counter may stay frozen while its
     /// queue is refusing items before the worker is declared hung.
@@ -223,17 +226,18 @@ impl CrashCause {
 /// What recovery rebuilt the shard's filter from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveredBase {
-    /// `restore(checkpoint at seq)` + journal replay.
+    /// A copy of the checkpoint at `seq` + journal replay.
     Checkpoint {
         /// Applied-item sequence the checkpoint captured.
         seq: u64,
     },
-    /// No checkpoint existed yet; a fresh filter replayed the full
+    /// No checkpoint existed yet; the shard's base — a filter built from
+    /// the config, or the frame it was restored from — replayed the full
     /// journal (which still covered the shard's whole history).
     Fresh,
-    /// Neither checkpoint decoded *and* the journal no longer reached
-    /// back to item 1: the shard restarted empty and its prior state is
-    /// gone. `RecoveryRecord::prior_applied` says how much.
+    /// Neither checkpoint passed its digest *and* the journal no longer
+    /// reached back to item 1: the shard restarted from its base and its
+    /// later state is gone. `RecoveryRecord::prior_applied` says how much.
     StateLoss,
 }
 
@@ -280,10 +284,13 @@ struct JournalEntry {
     value: f64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Checkpoint {
     seq: u64,
-    bytes: Vec<u8>,
+    filter: QuantileFilter,
+    /// `filter.state_digest()` at the seal; a mismatch at recovery means
+    /// the copy was damaged in memory.
+    digest: u64,
 }
 
 /// The mutex-guarded half of a shard's recovery state. Workers append to
@@ -412,8 +419,8 @@ impl RecoveryInner {
 
     /// Seal a checkpoint of `filter` (whose state must equal the journal
     /// head, i.e. call this only at a batch boundary). Runs once per
-    /// `checkpoint_interval` items, never per item. The new envelope is
-    /// encoded into the standby slot's old buffer, so after the first two
+    /// `checkpoint_interval` items, never per item. The copy lands in the
+    /// standby slot's filter through `clone_from`, so after the first two
     /// seals a seal allocates nothing.
     pub(crate) fn seal_checkpoint(
         &mut self,
@@ -422,18 +429,22 @@ impl RecoveryInner {
         chaos: Option<&ArmedChaos>,
     ) {
         let standby = 1 - self.latest;
-        let mut bytes = self.slots[standby]
-            .take()
-            .map(|old| old.bytes)
-            .unwrap_or_default();
-        filter.snapshot_into(&mut bytes);
+        let copy = match self.slots[standby].take() {
+            Some(mut old) => {
+                old.filter.clone_from(filter);
+                old.filter
+            }
+            None => filter.clone(),
+        };
+        let mut digest = copy.state_digest();
         self.seals += 1;
         if let Some(ch) = chaos {
-            ch.corrupt_checkpoint(shard, self.seals, &mut bytes);
+            ch.corrupt_checkpoint(shard, self.seals, &mut digest);
         }
         self.slots[standby] = Some(Checkpoint {
             seq: self.applied,
-            bytes,
+            filter: copy,
+            digest,
         });
         self.latest = standby;
         // Keep the journal reaching back to the *older* checkpoint so a
@@ -450,25 +461,27 @@ impl RecoveryInner {
 
     /// Rebuild a filter from the best available base without mutating
     /// anything: newest valid checkpoint + journal suffix, else older
-    /// checkpoint, else a fresh filter when the journal still covers the
-    /// whole history. `None` means the state is unrecoverable (both
-    /// checkpoints bad and the journal is pruned) or `build_fresh`
-    /// failed.
+    /// checkpoint, else the shard's base (`build_fresh`) when the journal
+    /// still covers the whole history. A checkpoint is valid when its
+    /// copy still matches its digest. `None` means the state is
+    /// unrecoverable (both checkpoints bad and the journal is pruned) or
+    /// `build_fresh` failed.
     pub(crate) fn reconstruct(
         &self,
         build_fresh: &mut dyn FnMut() -> Option<QuantileFilter>,
     ) -> Option<(QuantileFilter, RecoveredBase, u64)> {
         for idx in [self.latest, 1 - self.latest] {
             let Some(c) = &self.slots[idx] else { continue };
-            let Ok(mut filter) = QuantileFilter::restore(&c.bytes) else {
+            if c.filter.state_digest() != c.digest {
                 continue;
-            };
+            }
+            let mut filter = c.filter.clone();
             if let Some(replayed) = self.replay_onto(&mut filter, c.seq) {
                 return Some((filter, RecoveredBase::Checkpoint { seq: c.seq }, replayed));
             }
         }
-        // No checkpoint decoded. A fresh filter works iff the journal
-        // still reaches back to item 1 (or nothing was ever applied).
+        // No checkpoint is usable. The base works iff the journal still
+        // reaches back to item 1 (or nothing was ever applied).
         let covers_all = self.applied == 0 || self.journal.front().is_some_and(|e| e.seq == 1);
         if covers_all {
             let mut filter = build_fresh()?;
@@ -520,7 +533,7 @@ impl RecoveryInner {
                 recovered_seq: prior_applied,
             });
         }
-        // Unrecoverable state: restart the lineage from empty.
+        // Unrecoverable state: restart the lineage from its base.
         let filter = build_fresh()?;
         self.applied = 0;
         self.journal.clear();
@@ -604,20 +617,29 @@ mod tests {
         assert_eq!(inner.generation, 1);
     }
 
+    /// Where a checkpoint's sketch grid lives (its largest array).
+    fn grid_ptr(c: &Checkpoint) -> *const i8 {
+        c.filter.vague_part().inner().raw_cells().as_ptr()
+    }
+
     #[test]
-    fn seal_encodes_into_the_standby_buffer() {
+    fn seal_copies_into_the_standby_filter() {
         let rec = ShardRecovery::new(16, 16);
         let mut filter = build();
         drive(&rec, &mut filter, &workload(32), 16);
         let mut inner = rec.lock();
         assert_eq!(inner.seals(), 2, "both slots hold a checkpoint");
         let standby = 1 - inner.latest;
-        let old = inner.slots[standby].as_ref().map(|c| c.bytes.as_ptr());
+        let old = inner.slots[standby].as_ref().map(grid_ptr);
+        for (k, v) in workload(5) {
+            let _ = filter.insert(&k, v);
+        }
         inner.seal_checkpoint(0, &filter, None);
-        let latest = inner.slots[inner.latest].as_ref();
         assert_eq!(inner.latest, standby);
-        assert_eq!(latest.map(|c| c.bytes.as_ptr()), old, "no new allocation");
-        assert_eq!(latest.map(|c| c.bytes.clone()), Some(filter.snapshot()));
+        let latest = inner.slots[standby].as_ref();
+        assert_eq!(latest.map(grid_ptr), old, "the seal reallocated");
+        assert_eq!(latest.map(|c| c.filter.snapshot()), Some(filter.snapshot()));
+        assert_eq!(latest.map(|c| c.digest), Some(filter.state_digest()));
     }
 
     #[test]
@@ -660,8 +682,7 @@ mod tests {
         // Corrupt the newest slot in place.
         let latest = inner.latest;
         if let Some(c) = inner.slots[latest].as_mut() {
-            let mid = c.bytes.len() / 2;
-            c.bytes[mid] ^= 0x40;
+            c.digest ^= 0x40;
         } else {
             panic!("no newest checkpoint after 200 items at interval 16");
         }
@@ -687,7 +708,7 @@ mod tests {
         drive(&rec, &mut filter, &workload(200), 16);
         let mut inner = rec.lock();
         for slot in inner.slots.iter_mut().flatten() {
-            slot.bytes[0] ^= 0xFF;
+            slot.digest ^= 0xFF;
         }
         let recovered = match inner.recover(&mut || Some(build())) {
             Some(r) => r,
@@ -776,13 +797,12 @@ mod tests {
                 1 => {
                     let latest = inner.latest;
                     if let Some(c) = inner.slots[latest].as_mut() {
-                        let mid = c.bytes.len() / 2;
-                        c.bytes[mid] ^= 0x40;
+                        c.digest ^= 0x40;
                     }
                 }
                 _ => {
                     for slot in inner.slots.iter_mut().flatten() {
-                        slot.bytes[0] ^= 0xFF;
+                        slot.digest ^= 0xFF;
                     }
                 }
             }

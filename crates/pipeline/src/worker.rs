@@ -3,31 +3,30 @@
 //! forwards reports to the sink.
 //!
 //! Single-writer is preserved by construction — the filter lives on the
-//! worker's stack and is moved back out through the join handle at
-//! shutdown; no lock, no sharing. This file is in the QF-L002 hot-path
-//! set: the message loop performs no allocation and reads no clocks
-//! (snapshot encoding, which does allocate, only runs on an explicit
-//! quiesce message — see the `snapshot` method; the slab and report
-//! buffers are allocated once in cold constructors).
+//! worker's stack; the only other copies are the checkpoints the worker
+//! itself seals. This file is in the QF-L002 hot-path set: the message
+//! loop performs no allocation and reads no clocks (snapshot encoding,
+//! which does allocate, only runs on an explicit quiesce message — see
+//! the `snapshot` method; the slab and report buffers are allocated once
+//! in cold constructors).
 //!
 //! ## Slab handoff
 //!
 //! A queue slot carries a [`Slab`] — a router-filled chunk of up to
 //! `slab_capacity` items — not a single item. The Lamport handshake, the
-//! park/wake handshake, shed-credit redemption, and (supervised) the
-//! journal lock are each paid **once per slab**; the items inside drain
-//! through [`QuantileFilter::insert_batch`], which is bit-identical to
-//! inserting them one by one. A shed credit redeems a whole slab: the
+//! park/wake handshake, shed-credit redemption, and the journal lock are
+//! each paid **once per slab**; the items inside drain through
+//! [`QuantileFilter::insert_batch`], which is bit-identical to inserting
+//! them one by one. A shed credit redeems a whole slab: the
 //! oldest queued slab is discarded intact, its length counted into
 //! `shed`, and (under `ShedFair`) its keys un-noted from the shared
 //! fairness sketch so partial-slab shed stays exactly accounted per key.
 //!
-//! Two loop bodies live here. [`run_worker`] is the unsupervised loop:
-//! one pop, one batch insert, reports inline. [`run_supervised`] adds
-//! the crash-recovery contract from [`crate::supervisor`]: a slab is
-//! popped, applied, then *committed* — journaled under the shard's
-//! recovery lock, with a checkpoint sealed when due — before any report
-//! is sent. The order is the whole correctness story:
+//! The loop body, [`run_supervised`], keeps the crash-recovery contract
+//! from [`crate::supervisor`]: a slab is popped, applied, then
+//! *committed* — journaled under the shard's recovery lock, with a
+//! checkpoint sealed when due — before any report is sent. The order is
+//! the whole correctness story:
 //!
 //! * reports only ever describe journaled items, so a recovered filter
 //!   (checkpoint + journal replay) is never *behind* the reports the
@@ -148,33 +147,19 @@ pub enum Event {
     Snapshot {
         /// Shard the snapshot belongs to.
         shard: usize,
-        /// Worker generation that produced the frame (always 0 when
-        /// unsupervised). The router discards frames from fenced
-        /// generations — a worker that hung through a barrier and woke
-        /// after its replacement must not answer the new barrier.
+        /// Worker generation that produced the frame. The router discards
+        /// frames from fenced generations — a worker that hung through a
+        /// barrier and woke after its replacement must not answer the new
+        /// barrier.
         generation: u64,
         /// `QuantileFilter::snapshot()` bytes.
         bytes: Vec<u8>,
     },
 }
 
-/// What a worker hands back through its join handle.
-#[derive(Debug)]
-pub struct WorkerExit {
-    /// Items popped and applied to the filter.
-    pub processed: u64,
-    /// Items popped and discarded against shed credits (whole-slab
-    /// oldest drops of the shedding backpressure policies).
-    pub shed: u64,
-    /// Reports emitted.
-    pub reports: u64,
-    /// The filter itself, so callers can inspect or re-launch.
-    pub filter: QuantileFilter,
-}
-
-/// Everything a supervised worker generation needs beyond the legacy
-/// loop's arguments: its shared recovery state, its fencing token, and
-/// the armed chaos plan (tests only; `None` in production).
+/// Everything a worker generation needs beyond its queue, filter and
+/// sink: its shared recovery state, its fencing token, and the armed
+/// chaos plan (tests only; `None` in production).
 pub(crate) struct Supervision {
     pub(crate) recovery: Arc<ShardRecovery>,
     pub(crate) generation: u64,
@@ -192,7 +177,7 @@ pub(crate) struct Supervision {
     pub(crate) flight: ShardFlight,
 }
 
-/// Per-commit report staging for the supervised loop: reports are
+/// Per-commit report staging for the worker loop: reports are
 /// buffered through apply + commit and only sent once the slab is
 /// journaled (see the module docs for why the order is load-bearing).
 struct ReportBuf {
@@ -233,76 +218,21 @@ fn unnote_shed(fairness: Option<&Arc<Fairness>>, slab: &Slab) {
     }
 }
 
-/// The worker body. Runs on a dedicated thread until [`Msg::Shutdown`]
-/// (or until the router closes the queue's producer side).
-pub(crate) fn run_worker(
-    shard: usize,
-    queue: Consumer<Msg>,
-    mut filter: QuantileFilter,
-    sink: Sender<Event>,
-    fairness: Option<Arc<Fairness>>,
-    flight: ShardFlight,
-) -> WorkerExit {
-    queue.register_current_thread();
-    flight.install(0);
-    let mut guard = AliveGuard { queue };
-    let mut processed = 0u64;
-    let mut shed = 0u64;
-    let mut reports = 0u64;
-    loop {
-        match guard.queue.pop_wait() {
-            Some(Msg::Slab(slab)) => {
-                let n = slab.len() as u64;
-                telemetry::dequeued_n(n);
-                // Redeem an outstanding shed credit against this whole
-                // slab — it is the oldest in the queue by FIFO.
-                if guard.queue.take_shed(1) != 0 {
-                    telemetry::shed_n(n);
-                    shed += n;
-                    unnote_shed(fairness.as_ref(), &slab);
-                    continue;
-                }
-                processed += n;
-                let items = slab.items();
-                filter.insert_batch(items, &mut |i, report| {
-                    telemetry::report();
-                    reports += 1;
-                    // A closed sink is not the worker's problem: keep
-                    // draining so shutdown still conserves accounting.
-                    let _ = sink.send(Event::Report {
-                        shard,
-                        key: items[i].0,
-                        report,
-                    });
-                });
-            }
-            Some(Msg::Quiesce) => snapshot(shard, 0, &filter, &sink, processed),
-            Some(Msg::Shutdown) | None => break,
-        }
-    }
-    WorkerExit {
-        processed,
-        shed,
-        reports,
-        filter,
-    }
-}
-
-/// The supervised worker body: pop slab → apply → commit → report.
-/// See the module docs for why that order is load-bearing.
+/// The worker body: pop slab → apply → commit → report. Runs on a
+/// dedicated thread until [`Msg::Shutdown`], until the router closes the
+/// queue's producer side, or until the generation is fenced. See the
+/// module docs for why that order is load-bearing.
 pub(crate) fn run_supervised(
     shard: usize,
     queue: Consumer<Msg>,
     mut filter: QuantileFilter,
     sink: Sender<Event>,
     sup: Supervision,
-) -> WorkerExit {
+) {
     queue.register_current_thread();
     sup.flight.install(sup.generation);
     let mut guard = AliveGuard { queue };
     let mut processed = 0u64;
-    let mut shed_total = 0u64;
-    let mut reports_total = 0u64;
     let mut staged = ReportBuf::new(sup.slab_capacity);
     // A `None` pop ends the loop: the producer closed, i.e. this
     // generation was fenced off (or the pipeline is tearing down
@@ -325,19 +255,11 @@ pub(crate) fn run_supervised(
                 if guard.queue.take_shed(1) != 0 {
                     telemetry::shed_n(n as u64);
                     unnote_shed(sup.fairness.as_ref(), &slab);
-                    {
-                        let mut inner = sup.recovery.lock();
-                        if inner.generation != sup.generation {
-                            return WorkerExit {
-                                processed,
-                                shed: shed_total,
-                                reports: reports_total,
-                                filter,
-                            };
-                        }
-                        inner.shed += n as u64;
+                    let mut inner = sup.recovery.lock();
+                    if inner.generation != sup.generation {
+                        return;
                     }
-                    shed_total += n as u64;
+                    inner.shed += n as u64;
                     continue;
                 }
                 staged.buf.clear();
@@ -356,28 +278,21 @@ pub(crate) fn run_supervised(
                     let buf = &mut staged.buf;
                     filter.insert_batch(items, &mut |i, report| buf.push((i, report)));
                 }
-                let slab_reports = staged.buf.len() as u64;
                 {
                     let mut inner = sup.recovery.lock();
                     if inner.generation != sup.generation {
                         // Fenced: a replacement owns this lineage now.
                         // Exit with zero further side effects — nothing
                         // journaled, no reports sent for this slab.
-                        return WorkerExit {
-                            processed,
-                            shed: shed_total,
-                            reports: reports_total,
-                            filter,
-                        };
+                        return;
                     }
                     inner.append(items);
-                    inner.reports += slab_reports;
+                    inner.reports += staged.buf.len() as u64;
                     if inner.due_seal(sup.checkpoint_interval) {
                         inner.seal_checkpoint(shard, &filter, sup.chaos.as_ref());
                     }
                 }
                 processed += n as u64;
-                reports_total += slab_reports;
                 for (i, report) in staged.buf.drain(..) {
                     telemetry::report();
                     let _ = sink.send(Event::Report {
@@ -388,12 +303,6 @@ pub(crate) fn run_supervised(
                 }
             }
         }
-    }
-    WorkerExit {
-        processed,
-        shed: shed_total,
-        reports: reports_total,
-        filter,
     }
 }
 

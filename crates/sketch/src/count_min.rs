@@ -13,17 +13,37 @@ use crate::counter::SketchCounter;
 use crate::snapshot::{
     read_seeds_and_cells, write_seeds_and_cells, SketchShape, SketchState, SKETCH_KIND_CMS,
 };
-use crate::traits::WeightSketch;
+use crate::traits::{digest_seeds_and_cells, WeightSketch};
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
 use qf_hash::{HashFamily, RowLanes, StreamKey};
 
 /// A Count-Min sketch over cells of type `C` with signed updates.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CountMinSketch<C: SketchCounter = i32> {
     cells: Vec<C>,
     family: HashFamily,
     rows: usize,
     width: usize,
+}
+
+// By hand so that `clone_from` copies into the existing grid: a checkpoint
+// refreshed this way allocates nothing.
+impl<C: SketchCounter> Clone for CountMinSketch<C> {
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            family: self.family.clone(),
+            rows: self.rows,
+            width: self.width,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.cells.clone_from(&source.cells);
+        self.family.clone_from(&source.family);
+        self.rows = source.rows;
+        self.width = source.width;
+    }
 }
 
 impl<C: SketchCounter> CountMinSketch<C> {
@@ -264,6 +284,10 @@ impl<C: SketchCounter> WeightSketch for CountMinSketch<C> {
 
     fn kind_name(&self) -> &'static str {
         "CMS"
+    }
+
+    fn state_digest(&self, seed: u64) -> u64 {
+        digest_seeds_and_cells(self.family.seeds(), &self.cells, seed)
     }
 }
 

@@ -13,7 +13,7 @@ use crate::counter::SketchCounter;
 use crate::snapshot::{
     read_seeds_and_cells, write_seeds_and_cells, SketchShape, SketchState, SKETCH_KIND_CS,
 };
-use crate::traits::{median_in_place, WeightSketch};
+use crate::traits::{digest_seeds_and_cells, median_in_place, WeightSketch};
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
 use qf_hash::{HashFamily, RowLanes, StreamKey};
 
@@ -21,12 +21,32 @@ use qf_hash::{HashFamily, RowLanes, StreamKey};
 pub const MAX_DEPTH: usize = 32;
 
 /// A Count sketch over cells of type `C`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CountSketch<C: SketchCounter = i32> {
     cells: Vec<C>,
     family: HashFamily,
     rows: usize,
     width: usize,
+}
+
+// By hand so that `clone_from` copies into the existing grid: a checkpoint
+// refreshed this way allocates nothing.
+impl<C: SketchCounter> Clone for CountSketch<C> {
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            family: self.family.clone(),
+            rows: self.rows,
+            width: self.width,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.cells.clone_from(&source.cells);
+        self.family.clone_from(&source.family);
+        self.rows = source.rows;
+        self.width = source.width;
+    }
 }
 
 impl<C: SketchCounter> CountSketch<C> {
@@ -340,6 +360,10 @@ impl<C: SketchCounter> WeightSketch for CountSketch<C> {
 
     fn kind_name(&self) -> &'static str {
         "CS"
+    }
+
+    fn state_digest(&self, seed: u64) -> u64 {
+        digest_seeds_and_cells(self.family.seeds(), &self.cells, seed)
     }
 }
 

@@ -36,6 +36,25 @@ pub trait SketchCounter:
     fn zero() -> Self {
         Self::default()
     }
+
+    /// A cell grid's in-memory bytes (native endian), so a state digest
+    /// can hash the grid without encoding it.
+    fn as_bytes(cells: &[Self]) -> &[u8];
+}
+
+/// The in-memory bytes of a primitive-integer slice.
+macro_rules! int_bytes {
+    ($cells:expr) => {
+        // SAFETY: the cells are primitive integers, so they hold no padding
+        // and every byte is initialized; `u8` has alignment 1; and the byte
+        // slice covers exactly `size_of_val(cells)` bytes of the same borrow.
+        unsafe {
+            core::slice::from_raw_parts(
+                $cells.as_ptr().cast::<u8>(),
+                core::mem::size_of_val($cells),
+            )
+        }
+    };
 }
 
 macro_rules! impl_counter {
@@ -60,6 +79,11 @@ macro_rules! impl_counter {
                     wide as $t
                 }
             }
+
+            #[inline]
+            fn as_bytes(cells: &[Self]) -> &[u8] {
+                int_bytes!(cells)
+            }
         }
     };
 }
@@ -80,6 +104,11 @@ impl SketchCounter for i64 {
     #[inline(always)]
     fn saturating_add_i64(self, delta: i64) -> Self {
         self.saturating_add(delta)
+    }
+
+    #[inline]
+    fn as_bytes(cells: &[Self]) -> &[u8] {
+        int_bytes!(cells)
     }
 }
 

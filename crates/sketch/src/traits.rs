@@ -6,7 +6,8 @@
 //! core is generic over this trait so Fig. 12's CS-vs-CMS ablation is a
 //! type parameter swap rather than a code fork.
 
-use qf_hash::{RowLanes, StreamKey};
+use crate::counter::SketchCounter;
+use qf_hash::{mix64, xxh64, RowLanes, StreamKey};
 
 /// A sketch of signed, weighted per-key sums.
 pub trait WeightSketch {
@@ -75,6 +76,23 @@ pub trait WeightSketch {
 
     /// Short implementation name for experiment logs ("CS", "CMS").
     fn kind_name(&self) -> &'static str;
+
+    /// An xxh64 digest of the sketch's state (row seeds and counter
+    /// cells), chained from `seed`. Equal sketches have equal digests, so a
+    /// stored digest tells a damaged copy from a good one.
+    fn state_digest(&self, seed: u64) -> u64;
+}
+
+/// The [`WeightSketch::state_digest`] of a sketch made of row seeds and a
+/// cell grid: the seeds are folded into the seed of one xxh64 over the
+/// grid's bytes.
+pub(crate) fn digest_seeds_and_cells<C: SketchCounter>(
+    seeds: &[u64],
+    cells: &[C],
+    seed: u64,
+) -> u64 {
+    let seed = seeds.iter().fold(seed, |h, &s| mix64(h ^ s));
+    xxh64(C::as_bytes(cells), seed)
 }
 
 /// Best-effort prefetch of the cache line containing `p`. A pure hint: it
