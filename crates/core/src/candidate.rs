@@ -32,7 +32,9 @@
 //! written by either layout restore into the other bit-identically.
 
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
-use qf_hash::{fingerprint16, fingerprint16_prehashed, xxh64, HashedKey, RowHasher, StreamKey};
+use qf_hash::{
+    fingerprint16, fingerprint16_prehashed, stripe_digest, HashedKey, RowHasher, StreamKey,
+};
 use qf_sketch::simd::{broadcast4, eq_lanes4, movemask4, pack4, LANES_PER_WORD};
 
 /// Bytes charged per entry: 2 (fingerprint) + 4 (Qweight counter).
@@ -149,8 +151,8 @@ impl SlotWord for u16 {}
 impl SlotWord for i32 {}
 impl SlotWord for u64 {}
 
-/// xxh64 of a slot array's in-memory bytes (native endian), chained from
-/// `seed`.
+/// Stripe digest of a slot array's in-memory bytes (native endian),
+/// chained from `seed`.
 fn digest_words<T: SlotWord>(words: &[T], seed: u64) -> u64 {
     // SAFETY: `SlotWord` types are primitive integers, so every byte of
     // `words` is initialized; `u8` has alignment 1; and the byte slice
@@ -158,7 +160,7 @@ fn digest_words<T: SlotWord>(words: &[T], seed: u64) -> u64 {
     let bytes = unsafe {
         std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words))
     };
-    xxh64(bytes, seed)
+    stripe_digest(bytes, seed)
 }
 
 impl CandidatePart {
@@ -700,8 +702,8 @@ impl CandidatePart {
         self.fp_seed
     }
 
-    /// xxh64 of the fingerprint, Qweight and occupancy arrays, chained
-    /// from `seed` (the candidate half of
+    /// Stripe digest of the fingerprint, Qweight and occupancy arrays,
+    /// padding included, chained from `seed` (the candidate half of
     /// [`crate::QuantileFilter::state_digest`]).
     pub(crate) fn state_digest(&self, seed: u64) -> u64 {
         digest_words(

@@ -496,11 +496,12 @@ impl<S: WeightSketch> QuantileFilter<S> {
         self.stats = FilterStats::default();
     }
 
-    /// An xxh64 digest of the filter's mutable state: the candidate slots,
-    /// the sketch, both RNG states and the statistics. Equal filters have
+    /// A digest of the filter's mutable state: the candidate slots, the
+    /// sketch, both RNG states and the statistics. Equal filters have
     /// equal digests, so a digest stored next to a copy tells a damaged
-    /// copy from a good one. It hashes memory, not the snapshot encoding,
-    /// and is only meaningful within one process.
+    /// copy from a good one. It hashes memory with the
+    /// [`qf_hash::stripe_digest`] kernel, not the snapshot encoding with
+    /// xxh64, and is only meaningful within one process.
     pub fn state_digest(&self) -> u64 {
         let s = self.stats;
         let scalars = [
@@ -1149,9 +1150,9 @@ mod tests {
     }
 
     /// Where the arrays of `f` live: the three candidate slot arrays and
-    /// the sketch grid.
-    fn array_ptrs(f: &mut QuantileFilter) -> [usize; 4] {
-        let cells = f.vague.inner().raw_cells().as_ptr() as usize;
+    /// the sketch grid, whose address `grid` reads.
+    fn array_ptrs<S: WeightSketch>(f: &mut QuantileFilter<S>, grid: fn(&S) -> usize) -> [usize; 4] {
+        let cells = grid(f.vague.inner());
         let (fps, qws, occ) = f.candidate.slots_mut();
         [
             fps.as_ptr() as usize,
@@ -1161,43 +1162,82 @@ mod tests {
         ]
     }
 
-    /// A checkpoint copy: `clone_from` into a filter of the same shape
-    /// reuses its arrays and reproduces the source byte for byte, and the
-    /// state digest moves when any one piece of state does.
-    #[test]
-    fn clone_from_reuses_arrays_and_the_digest_sees_every_component() {
+    fn cs_grid(s: &CountSketch<i8>) -> usize {
+        s.raw_cells().as_ptr() as usize
+    }
+
+    fn cms_grid(s: &CountMinSketch<i32>) -> usize {
+        s.raw_cells().as_ptr() as usize
+    }
+
+    /// `copy.clone_from(live)` keeps `copy`'s four arrays and reproduces
+    /// `live`: equal digests and equal snapshots.
+    fn assert_cloned_in_place<S>(
+        live: &QuantileFilter<S>,
+        copy: &mut QuantileFilter<S>,
+        grid: fn(&S) -> usize,
+    ) where
+        S: WeightSketch + qf_sketch::snapshot::SketchState + Clone,
+    {
+        let before = array_ptrs(copy, grid);
+        copy.clone_from(live);
+        assert_eq!(array_ptrs(copy, grid), before, "clone_from reallocated");
+        assert_eq!(copy.state_digest(), live.state_digest());
+        assert_eq!(copy.snapshot(), live.snapshot());
+    }
+
+    /// Flip bit `bit` of sketch cell `cell` of `f`, through the sketch's
+    /// snapshot state (the grid has no mutable accessor).
+    fn flip_cell(f: &mut QuantileFilter, cell: usize, bit: u32) {
         use qf_hash::wire::{ByteReader, ByteWriter};
         use qf_sketch::snapshot::SketchState;
 
-        let mut live = small_filter(default_criteria());
-        for i in 0..2_000u64 {
-            let _ = live.insert(&(i % 97), if i % 5 == 0 { 500.0 } else { 10.0 });
-        }
-        let mut copy = small_filter(default_criteria());
-        let before = array_ptrs(&mut copy);
-        copy.clone_from(&live);
-        assert_eq!(array_ptrs(&mut copy), before, "clone_from reallocated");
-        assert_eq!(copy.snapshot(), live.snapshot());
-        assert_eq!(copy.state_digest(), live.state_digest());
+        let sketch = f.vague.inner();
+        let mut w = ByteWriter::new();
+        sketch.write_state(&mut w);
+        let mut state = w.into_bytes();
+        // The state ends with the grid, one byte per `i8` cell.
+        let at = state.len() - sketch.raw_cells().len() + cell;
+        state[at] ^= 1 << bit;
+        let damaged = CountSketch::from_state(sketch.shape(), &mut ByteReader::new(&state));
+        f.vague = VaguePart::new(damaged.unwrap());
+    }
 
-        let flip_cell = |f: &mut QuantileFilter| {
-            let sketch = f.vague.inner();
-            let mut w = ByteWriter::new();
-            sketch.write_state(&mut w);
-            let mut state = w.into_bytes();
-            // The last state byte is the last `i8` cell of the grid.
-            if let Some(last) = state.last_mut() {
-                *last ^= 1;
-            }
-            let damaged = CountSketch::from_state(sketch.shape(), &mut ByteReader::new(&state));
-            f.vague = VaguePart::new(damaged.unwrap());
-        };
+    /// A checkpoint copy: `clone_from` into a filter of the same shape
+    /// reuses its arrays and reproduces the source byte for byte, for the
+    /// default filter and a Count-Min one, and the state digest moves when
+    /// any one piece of state does.
+    #[test]
+    fn clone_from_reuses_arrays_and_the_digest_sees_every_component() {
+        let c = default_criteria();
+        let mut live = small_filter(c);
+        let mut cms: QuantileFilter<CountMinSketch<i32>> = QuantileFilterBuilder::new(c)
+            .candidate_buckets(16)
+            .bucket_len(4)
+            .vague_dims(3, 256)
+            .seed(9)
+            .build_with_sketch(CountMinSketch::new(3, 256, 9));
+        for i in 0..2_000u64 {
+            let v = if i % 5 == 0 { 500.0 } else { 10.0 };
+            let _ = live.insert(&(i % 97), v);
+            let _ = cms.insert(&(i % 97), v);
+        }
+        let mut copy = small_filter(c);
+        let _ = copy.insert(&1u64, 500.0);
+        assert_cloned_in_place(&live, &mut copy, cs_grid);
+        let mut cms_copy = cms.clone();
+        let _ = cms_copy.insert(&1u64, 500.0);
+        assert_cloned_in_place(&cms, &mut cms_copy, cms_grid);
+
         type Mutation<'a> = (&'a str, &'a dyn Fn(&mut QuantileFilter));
         let mutations: [Mutation; 11] = [
             ("fingerprint", &|f| f.candidate.slots_mut().0[0] ^= 1),
             ("qweight", &|f| f.candidate.slots_mut().1[0] ^= 1),
             ("occupancy bit", &|f| f.candidate.slots_mut().2[0] ^= 1),
-            ("sketch cell", &flip_cell),
+            ("sketch cell", &|f| {
+                let last = f.vague.inner().raw_cells().len() - 1;
+                flip_cell(f, last, 0)
+            }),
             ("rounder", &|f| {
                 f.rounder = StochasticRounder::from_state(f.rounder.state() ^ 1)
             }),
@@ -1215,6 +1255,77 @@ mod tests {
             let mut f = live.clone();
             mutate(&mut f);
             assert_ne!(f.state_digest(), base, "{name} is not in the digest");
+        }
+
+        // Every bit of every array of a tiny filter, padding cells
+        // included, moves the digest to a value no other flip produced.
+        let mut tiny = QuantileFilterBuilder::new(c)
+            .candidate_buckets(2)
+            .bucket_len(3)
+            .vague_dims(2, 8)
+            .seed(3)
+            .build();
+        for i in 0..200u64 {
+            let _ = tiny.insert(&(i % 13), if i % 3 == 0 { 500.0 } else { 10.0 });
+        }
+        let (fps, qws, occ) = {
+            let (fps, qws, occ) = tiny.candidate.slots_mut();
+            (fps.len(), qws.len(), occ.len())
+        };
+        let cells = tiny.vague.inner().raw_cells().len();
+        let mut seen = std::collections::HashSet::from([tiny.state_digest()]);
+        let mut flip = |what: &str, i: usize, bit: u32, mutate: &dyn Fn(&mut QuantileFilter)| {
+            let mut f = tiny.clone();
+            mutate(&mut f);
+            assert!(seen.insert(f.state_digest()), "{what}[{i}] bit {bit}");
+        };
+        for i in 0..fps {
+            for bit in 0..16 {
+                flip("fps", i, bit, &|f| f.candidate.slots_mut().0[i] ^= 1 << bit);
+            }
+        }
+        for i in 0..qws {
+            for bit in 0..32 {
+                flip("qws", i, bit, &|f| f.candidate.slots_mut().1[i] ^= 1 << bit);
+            }
+        }
+        for i in 0..occ {
+            for bit in 0..64 {
+                flip("occ", i, bit, &|f| f.candidate.slots_mut().2[i] ^= 1 << bit);
+            }
+        }
+        for i in 0..cells {
+            for bit in 0..8 {
+                flip("cells", i, bit, &|f| flip_cell(f, i, bit));
+            }
+        }
+        assert_eq!(seen.len(), 1 + 16 * fps + 32 * qws + 64 * occ + 8 * cells);
+    }
+
+    /// `clone_from` into a filter of another shape copies the shape too:
+    /// the copy digests, encodes and goes on reporting like the source.
+    #[test]
+    fn clone_from_a_filter_of_another_shape_still_agrees() {
+        let mut live = small_filter(default_criteria());
+        for i in 0..1_000u64 {
+            let _ = live.insert(&(i % 97), if i % 5 == 0 { 500.0 } else { 10.0 });
+        }
+        let mut other = QuantileFilterBuilder::new(default_criteria())
+            .candidate_buckets(8)
+            .bucket_len(70)
+            .vague_dims(2, 64)
+            .seed(1)
+            .build();
+        other.clone_from(&live);
+        assert_eq!(other.state_digest(), live.state_digest());
+        assert_eq!(other.snapshot(), live.snapshot());
+        for i in 0..300u64 {
+            let v = if i % 3 == 0 { 500.0 } else { 10.0 };
+            assert_eq!(
+                other.insert(&(i % 89), v),
+                live.insert(&(i % 89), v),
+                "item {i}"
+            );
         }
     }
 }

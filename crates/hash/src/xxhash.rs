@@ -9,7 +9,7 @@
 //! accumulation lanes over 32-byte stripes, a merge step, the length mix,
 //! a 8/4/1-byte tail, and the final avalanche.
 
-const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+pub(crate) const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
 const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
@@ -32,14 +32,14 @@ fn round(acc: u64, input: u64) -> u64 {
 }
 
 #[inline(always)]
-fn merge_round(acc: u64, val: u64) -> u64 {
+pub(crate) fn merge_round(acc: u64, val: u64) -> u64 {
     (acc ^ round(0, val))
         .wrapping_mul(PRIME64_1)
         .wrapping_add(PRIME64_4)
 }
 
 #[inline(always)]
-fn avalanche(mut h: u64) -> u64 {
+pub(crate) fn avalanche(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(PRIME64_2);
     h ^= h >> 29;

@@ -28,13 +28,19 @@
 //! **replay journal** and seals a **checkpoint** every
 //! `checkpoint_interval` applied items. A checkpoint is a copy of the
 //! filter — `clone_from` into the slot's own filter, so it allocates
-//! nothing after the slot's first seal — plus an xxh64 digest of the
-//! copy's state. Checkpoints are double-buffered: a new seal lands in the
-//! standby slot and only then becomes "latest", so a torn checkpoint
-//! never replaces a good one. The journal is pruned only up to the
-//! *older* checkpoint's sequence, which means `older checkpoint +
-//! journal` still reconstructs the full state when the newest
-//! checkpoint fails its digest — corruption costs replay time, not data.
+//! nothing after the slot's first seal — plus the live filter's
+//! `state_digest`, taken right after the copy with qf-hash's
+//! stripe-parallel kernel. The digest describes the live filter, not the
+//! copy, so a copy damaged while it was written, or at any time after,
+//! fails it. It is an in-memory digest, not xxh64: checkpoints never
+//! leave the process. Checkpoints are double-buffered: a new seal lands
+//! in the standby slot and only then becomes "latest", so a torn
+//! checkpoint never replaces a good one. The journal is pruned only up
+//! to the *older* checkpoint's sequence, with one `drain` of the prefix
+//! whose length follows from the journal's consecutive sequence numbers.
+//! So `older checkpoint + journal` still reconstructs the full state when
+//! the newest checkpoint fails its digest — corruption costs replay
+//! time, not data.
 //!
 //! Recovery therefore rebuilds `copy(newest valid checkpoint) +
 //! replay(journal suffix)`, yielding a filter equal to the crashed one at
@@ -436,7 +442,9 @@ impl RecoveryInner {
             }
             None => filter.clone(),
         };
-        let mut digest = copy.state_digest();
+        // The source's digest, not the copy's: damage done to the copy
+        // while it was written then fails recovery's check.
+        let mut digest = filter.state_digest();
         self.seals += 1;
         if let Some(ch) = chaos {
             ch.corrupt_checkpoint(shard, self.seals, &mut digest);
@@ -448,10 +456,13 @@ impl RecoveryInner {
         });
         self.latest = standby;
         // Keep the journal reaching back to the *older* checkpoint so a
-        // corrupt newest one still recovers losslessly.
+        // corrupt newest one still recovers losslessly. Journal seqs are
+        // consecutive, so the entries at or below `bound` are a prefix
+        // whose length follows from the front entry's seq.
         let bound = self.slots[1 - standby].as_ref().map_or(0, |c| c.seq);
-        while self.journal.front().is_some_and(|e| e.seq <= bound) {
-            self.journal.pop_front();
+        if let Some(front) = self.journal.front() {
+            let stale = (bound + 1).saturating_sub(front.seq) as usize;
+            self.journal.drain(..stale.min(self.journal.len()));
         }
         telemetry::checkpoint_sealed();
         // Runs on the worker thread (under the commit lock), so the
@@ -699,6 +710,82 @@ mod tests {
         }
         assert_eq!(recovered.recovered_seq, 200, "fallback is lossless");
         assert_eq!(recovered.filter.snapshot(), filter.snapshot());
+    }
+
+    /// The digest covers the checkpoint's data, not only itself: a copy
+    /// changed after its seal fails its digest, and recovery falls back
+    /// to the older checkpoint without losing an item.
+    #[test]
+    fn damaged_checkpoint_copy_falls_back_to_older() {
+        let rec = ShardRecovery::new(16, 16);
+        let mut filter = build();
+        drive(&rec, &mut filter, &workload(200), 16);
+        let mut inner = rec.lock();
+        assert!(inner.seals() >= 3, "seals: {}", inner.seals());
+        let latest = inner.latest;
+        let newest_seq = inner.latest_seq();
+        let older_seq = inner.slots[1 - latest].as_ref().map(|c| c.seq);
+        let Some(newest) = inner.slots[latest].as_mut() else {
+            panic!("no newest checkpoint after 200 items at interval 16");
+        };
+        // Deleting a tracked key zeroes its Qweight in the copy.
+        let damaged = (0..37u64).any(|key| newest.filter.delete(&key) != 0);
+        assert!(damaged, "no tracked key had a Qweight to delete");
+        assert_ne!(newest.filter.state_digest(), newest.digest);
+        let recovered = match inner.recover(&mut || Some(build())) {
+            Some(r) => r,
+            None => panic!("recover failed"),
+        };
+        assert_eq!(
+            recovered.base,
+            RecoveredBase::Checkpoint {
+                seq: older_seq.unwrap_or(0)
+            }
+        );
+        assert!(older_seq < Some(newest_seq));
+        assert_eq!(recovered.recovered_seq, inner.applied);
+        assert_eq!(recovered.recovered_seq, 200);
+        assert_eq!(recovered.filter.snapshot(), filter.snapshot());
+    }
+
+    /// A seal prunes the journal to the entries after the older
+    /// checkpoint, whatever the slab lengths that reached it.
+    #[test]
+    fn seal_prunes_the_journal_to_the_older_checkpoint() {
+        let (interval, max_slab) = (40, 23);
+        let rec = ShardRecovery::new(interval, max_slab);
+        let mut filter = build();
+        let items = workload(1_000);
+        // Uneven slabs, as the poll handoff cuts them.
+        let lens = [1, 23, 7, 16, 2, 11, 23, 5, 1, 19];
+        let mut at = 0;
+        let mut seals = 0;
+        for len in lens.iter().cycle() {
+            let slab = &items[at..(at + len).min(items.len())];
+            if slab.is_empty() {
+                break;
+            }
+            at += slab.len();
+            for &(k, v) in slab {
+                let _ = filter.insert(&k, v);
+            }
+            let mut inner = rec.lock();
+            inner.append(slab);
+            if !inner.due_seal(interval) {
+                continue;
+            }
+            inner.seal_checkpoint(0, &filter, None);
+            seals += 1;
+            let older = inner.slots[1 - inner.latest].as_ref().map_or(0, |c| c.seq);
+            let seqs: Vec<u64> = inner.journal.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs.first(), Some(&(older + 1)), "seal {seals}");
+            assert_eq!(seqs.last(), Some(&inner.applied), "seal {seals}");
+            assert_eq!(seqs.len() as u64, inner.applied - older, "seal {seals}");
+            if seals == 1 {
+                assert_eq!(older, 0, "the first seal keeps the journal from item 1");
+            }
+        }
+        assert!(seals > 10, "seals: {seals}");
     }
 
     #[test]

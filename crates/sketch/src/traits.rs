@@ -7,7 +7,7 @@
 //! type parameter swap rather than a code fork.
 
 use crate::counter::SketchCounter;
-use qf_hash::{mix64, xxh64, RowLanes, StreamKey};
+use qf_hash::{mix64, stripe_digest, RowLanes, StreamKey};
 
 /// A sketch of signed, weighted per-key sums.
 pub trait WeightSketch {
@@ -77,22 +77,24 @@ pub trait WeightSketch {
     /// Short implementation name for experiment logs ("CS", "CMS").
     fn kind_name(&self) -> &'static str;
 
-    /// An xxh64 digest of the sketch's state (row seeds and counter
-    /// cells), chained from `seed`. Equal sketches have equal digests, so a
-    /// stored digest tells a damaged copy from a good one.
+    /// A digest of the sketch's state (row seeds and counter cells),
+    /// chained from `seed`, made with the in-memory
+    /// [`qf_hash::stripe_digest`] kernel, not xxh64: it is never
+    /// persisted. Equal sketches have equal digests, so a stored digest
+    /// tells a damaged copy from a good one.
     fn state_digest(&self, seed: u64) -> u64;
 }
 
 /// The [`WeightSketch::state_digest`] of a sketch made of row seeds and a
-/// cell grid: the seeds are folded into the seed of one xxh64 over the
-/// grid's bytes.
+/// cell grid: the seeds are folded into the seed of one stripe digest over
+/// the grid's bytes.
 pub(crate) fn digest_seeds_and_cells<C: SketchCounter>(
     seeds: &[u64],
     cells: &[C],
     seed: u64,
 ) -> u64 {
     let seed = seeds.iter().fold(seed, |h, &s| mix64(h ^ s));
-    xxh64(C::as_bytes(cells), seed)
+    stripe_digest(C::as_bytes(cells), seed)
 }
 
 /// Best-effort prefetch of the cache line containing `p`. A pure hint: it
