@@ -20,9 +20,11 @@
 //! drop accounting are paid once per slab instead of once per item.
 //! Each worker owns its filter outright — the paper's
 //! single-writer deployment model, preserved per shard — drains each
-//! slab through the fused `insert_batch` hot path, and sends [`Event`]s
+//! slab through the fused `insert_batch` hot path, sends [`Event`]s
 //! into one shared mpsc sink the caller drains with
-//! [`Pipeline::poll_reports`].
+//! [`Pipeline::poll_reports`], and hands the emptied slab back through
+//! its own return ring, so a warmed router refills slabs instead of
+//! allocating one per handoff.
 //!
 //! ## Supervision
 //!
@@ -75,7 +77,7 @@
 use crate::chaos::{ArmedChaos, ChaosPlan};
 use crate::flight::ShardFlight;
 use crate::health::{OpsView, ShardBoard};
-use crate::ring::{Producer, PushError, SpscRing};
+use crate::ring::{Consumer, Producer, PushError, SpscRing};
 use crate::snapshot::{open_shards, seal_shards};
 use crate::supervisor::{
     CrashCause, RecoveredBase, RecoveryRecord, ShardRecovery, ShardState, SupervisorConfig,
@@ -307,6 +309,13 @@ struct ShardHandle {
     /// slab fills, a poll finds the queue empty, or a flush point, then
     /// travel as one ring slot.
     buf: Slab,
+    /// Consumer side of the current worker generation's return ring:
+    /// drained slabs come back here, empty, for [`ShardHandle::take_buf`]
+    /// to fill again.
+    returns: Consumer<Slab>,
+    /// An empty slab displaced when a refused push handed the shard's
+    /// slab back; reused before the return ring is consulted.
+    spare: Option<Slab>,
     enqueued: u64,
     dropped: u64,
     rejected: u64,
@@ -348,12 +357,29 @@ struct ShardHandle {
 }
 
 impl ShardHandle {
-    /// Take the accumulated slab for flushing, leaving an empty slab of
-    /// the same capacity in its place.
+    /// Take the accumulated slab for flushing, leaving an empty slab in
+    /// its place: the spare, else one the worker returned, else a new one
+    /// of the same capacity. A warmed shard allocates nothing here.
     fn take_buf(&mut self) -> Slab {
-        let capacity = self.buf.capacity();
-        std::mem::replace(&mut self.buf, Slab::with_capacity(capacity))
+        let empty = match self.spare.take().or_else(|| self.returns.try_pop()) {
+            Some(slab) => slab,
+            None => Slab::with_capacity(self.buf.capacity()),
+        };
+        std::mem::replace(&mut self.buf, empty)
     }
+
+    /// Re-buffer a slab a refused push handed back, keeping the empty
+    /// slab it displaces as the spare for the next [`Self::take_buf`].
+    fn restore_buf(&mut self, slab: Slab) {
+        self.spare = Some(std::mem::replace(&mut self.buf, slab));
+    }
+}
+
+/// The router's ends of a newly spawned worker generation.
+struct Spawned {
+    queue: Producer<Msg>,
+    returns: Consumer<Slab>,
+    worker: JoinHandle<()>,
 }
 
 /// Admission sampling for [`BackpressurePolicy::ShedFair`]: 256 hash
@@ -536,7 +562,11 @@ impl Pipeline {
                 config.slab_capacity,
             ));
             let flight = ShardFlight::new(shard);
-            let (queue, worker) = Self::spawn_worker(
+            let Spawned {
+                queue,
+                returns,
+                worker,
+            } = Self::spawn_worker(
                 &config,
                 shard,
                 filter,
@@ -555,6 +585,8 @@ impl Pipeline {
                 queue,
                 worker: Some(worker),
                 buf: Slab::with_capacity(config.slab_capacity),
+                returns,
+                spare: None,
                 enqueued: 0,
                 dropped: 0,
                 rejected: 0,
@@ -601,21 +633,38 @@ impl Pipeline {
         }
     }
 
+    /// Start one worker generation with its own queue and return ring;
+    /// returns the router's ends of both and the worker's join handle.
+    ///
+    /// The return ring carries drained slabs back for reuse. A shard's
+    /// slabs are the router's `buf`, the one a flush holds, up to
+    /// `ring_slots()` queued, and the one the worker drains; the router
+    /// allocates only when its spare and the return ring are empty, so at
+    /// most `ring_slots() + 3` slabs exist. When the worker returns one,
+    /// the router holds at least its `buf`, so at most `ring_slots() + 2`
+    /// can be waiting: sized to that, the return ring never turns a slab
+    /// away. A new generation gets a new return ring, so a fenced worker
+    /// that wakes up never becomes a second producer on its successor's.
     fn spawn_worker(
         config: &PipelineConfig,
         shard: usize,
         filter: QuantileFilter,
         sink: Sender<Event>,
         sup: Supervision,
-    ) -> Result<(Producer<Msg>, JoinHandle<()>), PipelineError> {
-        let (producer, consumer) = SpscRing::with_capacity(config.ring_slots()).split();
+    ) -> Result<Spawned, PipelineError> {
+        let (queue, consumer) = SpscRing::with_capacity(config.ring_slots()).split();
+        let (give_back, returns) = SpscRing::with_capacity(config.ring_slots() + 2).split();
         let worker = std::thread::Builder::new()
             .name(format!("qf-pipeline-{shard}"))
-            .spawn(move || run_supervised(shard, consumer, filter, sink, sup))
+            .spawn(move || run_supervised(shard, consumer, give_back, filter, sink, sup))
             .map_err(|e| PipelineError::InvalidConfig {
                 reason: format!("failed to spawn worker thread: {e}"),
             })?;
-        Ok((producer, worker))
+        Ok(Spawned {
+            queue,
+            returns,
+            worker,
+        })
     }
 
     /// Rebuild a pipeline from a [`Self::snapshot`] envelope, with
@@ -853,7 +902,7 @@ impl Pipeline {
     fn undo_admit(handle: &mut ShardHandle, msg: Msg) -> IngestOutcome {
         if let Msg::Slab(mut slab) = msg {
             let _ = slab.pop();
-            handle.buf = slab;
+            handle.restore_buf(slab);
         }
         IngestOutcome::Dropped
     }
@@ -1085,8 +1134,13 @@ impl Pipeline {
             }
         };
         match respawned {
-            Some((producer, worker)) => {
-                s.queue = producer;
+            Some(Spawned {
+                queue,
+                returns,
+                worker,
+            }) => {
+                s.queue = queue;
+                s.returns = returns;
                 s.worker = Some(worker);
                 s.stalled = false;
                 s.restarts += 1;
@@ -1182,7 +1236,7 @@ impl Pipeline {
                 }
                 Err((_, msg)) => {
                     if let Msg::Slab(slab) = msg {
-                        handle.buf = slab;
+                        handle.restore_buf(slab);
                     }
                 }
             }
@@ -1583,6 +1637,65 @@ mod tests {
         let (s0, s1) = (summary.per_shard[0], summary.per_shard[1]);
         assert!(s0.processed >= 64, "shard 0 stopped applying: {s0:?}");
         assert_eq!((s1.restarts, s1.lost), (0, 0), "shard 1 was disturbed");
+        assert_eq!(s1.processed, s1.enqueued);
+    }
+
+    /// A recovered shard reads its drained slabs from the replacement
+    /// worker's return ring, not the fenced worker's, so a fenced worker
+    /// that wakes up can never feed the live ring; the shard keeps
+    /// accepting and conserving items through its new ring.
+    #[test]
+    fn recovery_gives_the_shard_a_new_return_ring() {
+        let config = PipelineConfig {
+            slab_capacity: 4,
+            ..cfg(2, BackpressurePolicy::Block)
+        };
+        let mut pipe = launch(config);
+        let fenced = pipe.shards[0].returns.ring_addr();
+        assert!(pipe.shards[0].queue.push_blocking(Msg::Shutdown).is_ok());
+        let (k0, k1) = (key_on(0, 2), key_on(1, 2));
+        let ingest = |pipe: &mut Pipeline, key: u64| match pipe.ingest(key, 5.0) {
+            Ok(IngestOutcome::Enqueued) => {}
+            other => panic!("key {key} refused: {other:?}"),
+        };
+        for _ in 0..10_000 {
+            ingest(&mut pipe, k0);
+            if pipe.restarts() == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(pipe.restarts(), 1, "the dead worker was never recovered");
+        // The replacement's ring was built while the router still held
+        // the fenced one, so two live rings cannot share an address.
+        assert_ne!(
+            pipe.shards[0].returns.ring_addr(),
+            fenced,
+            "the router still reads the fenced generation's return ring"
+        );
+        // Many slabs per shard, handed over both full and at polls, so
+        // the new ring carries every one of them back at least once.
+        for round in 0..64 {
+            for _ in 0..9 {
+                ingest(&mut pipe, k0);
+                ingest(&mut pipe, k1);
+            }
+            if round % 4 == 0 {
+                let _ = pipe.poll_reports();
+            }
+        }
+        let summary = shut(pipe);
+        assert_eq!(
+            summary.offered,
+            summary.enqueued + summary.dropped + summary.rejected
+        );
+        assert_eq!(
+            summary.enqueued,
+            summary.processed + summary.shed + summary.lost_to_crash
+        );
+        assert_eq!(summary.restarts, 1);
+        let (s0, s1) = (summary.per_shard[0], summary.per_shard[1]);
+        assert!(s0.processed >= 64 * 9, "shard 0 stopped applying: {s0:?}");
         assert_eq!(s1.processed, s1.enqueued);
     }
 

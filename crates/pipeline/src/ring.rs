@@ -22,7 +22,9 @@
 //! type system: [`split`](SpscRing::split) yields one [`Producer`] and one
 //! [`Consumer`], neither of which is `Clone`. The pipeline gives each
 //! shard queue its producer side to the (single-threaded) router and its
-//! consumer side to the shard's worker thread.
+//! consumer side to the shard's worker thread; each worker generation's
+//! return ring, which carries drained slabs back for reuse, runs the
+//! other way.
 //!
 //! All synchronization goes through the `qf_model::sync` shim: a
 //! zero-cost re-export of `std` in real builds, and the instrumented
@@ -457,5 +459,12 @@ impl<T> Consumer<T> {
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
         self.ring.len() == 0
+    }
+
+    /// Address of the shared ring, so tests can tell two endpoints'
+    /// rings apart.
+    #[cfg(test)]
+    pub(crate) fn ring_addr(&self) -> *const SpscRing<T> {
+        Arc::as_ptr(&self.ring)
     }
 }

@@ -7,8 +7,9 @@
 //! itself seals. This file is in the QF-L002 hot-path set: the message
 //! loop performs no allocation and reads no clocks (snapshot encoding,
 //! which does allocate, only runs on an explicit quiesce message — see
-//! the `snapshot` method; the slab and report buffers are allocated once
-//! in cold constructors).
+//! the `snapshot` method; the report buffer is allocated once in a cold
+//! constructor, and slab buffers are allocated by the router and
+//! recycled, never freed, in steady state).
 //!
 //! ## Slab handoff
 //!
@@ -21,6 +22,13 @@
 //! oldest queued slab is discarded intact, its length counted into
 //! `shed`, and (under `ShedFair`) its keys un-noted from the shared
 //! fairness sketch so partial-slab shed stays exactly accounted per key.
+//!
+//! A drained slab — committed with its reports sent, or discarded against
+//! a shed credit — goes back to the router through the worker
+//! generation's **return ring**, emptied but with its buffer kept, and the
+//! router fills it again instead of allocating a new one. The push never
+//! waits: if the return ring is full the slab is freed instead, which the
+//! ring's sizing rules out in steady state (see `Pipeline::spawn_worker`).
 //!
 //! The loop body, [`run_supervised`], keeps the crash-recovery contract
 //! from [`crate::supervisor`]: a slab is popped, applied, then
@@ -45,7 +53,7 @@
 use crate::chaos::ArmedChaos;
 use crate::flight::{self, ShardFlight};
 use crate::pipeline::Fairness;
-use crate::ring::Consumer;
+use crate::ring::{Consumer, Producer};
 use crate::supervisor::ShardRecovery;
 use crate::telemetry;
 use quantile_filter::{QuantileFilter, Report};
@@ -63,7 +71,9 @@ pub struct Slab {
 
 impl Slab {
     /// Allocate an empty slab that fills at `capacity` items. Cold by
-    /// contract: the router allocates one per flush, never per item.
+    /// contract: the router allocates one only when no drained slab is
+    /// waiting on the return ring (at warm-up, or while the worker holds
+    /// every buffer), never per item.
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
@@ -84,6 +94,13 @@ impl Slab {
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, f64)> {
         self.items.pop()
+    }
+
+    /// Drop every item but keep the buffer, so the slab can be filled
+    /// again without allocating.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.items.clear();
     }
 
     /// Items currently held.
@@ -218,13 +235,23 @@ fn unnote_shed(fairness: Option<&Arc<Fairness>>, slab: &Slab) {
     }
 }
 
-/// The worker body: pop slab → apply → commit → report. Runs on a
-/// dedicated thread until [`Msg::Shutdown`], until the router closes the
-/// queue's producer side, or until the generation is fenced. See the
-/// module docs for why that order is load-bearing.
+/// Hand a drained slab back to the router, emptied, for its next fill.
+/// Never waits: if the return ring is full the slab is freed instead.
+fn recycle(returns: &mut Producer<Slab>, mut slab: Slab) {
+    slab.clear();
+    let _ = returns.try_push(slab);
+}
+
+/// The worker body: pop slab → apply → commit → report → recycle. Runs
+/// on a dedicated thread until [`Msg::Shutdown`], until the router
+/// closes the queue's producer side, or until the generation is fenced.
+/// See the module docs for why that order is load-bearing. `returns` is
+/// this generation's own return ring: a fenced worker that wakes up can
+/// only ever push into a ring its successor never reads.
 pub(crate) fn run_supervised(
     shard: usize,
     queue: Consumer<Msg>,
+    mut returns: Producer<Slab>,
     mut filter: QuantileFilter,
     sink: Sender<Event>,
     sup: Supervision,
@@ -255,11 +282,14 @@ pub(crate) fn run_supervised(
                 if guard.queue.take_shed(1) != 0 {
                     telemetry::shed_n(n as u64);
                     unnote_shed(sup.fairness.as_ref(), &slab);
-                    let mut inner = sup.recovery.lock();
-                    if inner.generation != sup.generation {
-                        return;
+                    {
+                        let mut inner = sup.recovery.lock();
+                        if inner.generation != sup.generation {
+                            return;
+                        }
+                        inner.shed += n as u64;
                     }
-                    inner.shed += n as u64;
+                    recycle(&mut returns, slab);
                     continue;
                 }
                 staged.buf.clear();
@@ -301,6 +331,7 @@ pub(crate) fn run_supervised(
                         report,
                     });
                 }
+                recycle(&mut returns, slab);
             }
         }
     }
