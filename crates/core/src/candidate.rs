@@ -4,38 +4,49 @@
 //! Entries store a 16-bit fingerprint plus a 32-bit signed Qweight counter.
 //! Space accounting per entry is therefore 6 bytes, which is what the
 //! paper's memory axis (candidate ≈ 80% of the budget at the default 4:1
-//! split) charges.
+//! split) charges. It is also what the part allocates, apart from
+//! [`FP_PAD`] cells of tail padding per array.
 //!
 //! # Layout: structure-of-arrays
 //!
-//! The part stores three parallel arrays instead of an array of slot
-//! structs: a flat `Vec<u16>` of fingerprints, a flat `Vec<i32>` of
-//! Qweights, and a per-bucket occupancy bitmask. A bucket is the contiguous
-//! range `[bucket·b, (bucket+1)·b)` of each array (the cuckoo-filter
-//! layout). This is what makes the hot bucket scan data-parallel: the probe
-//! fingerprint is broadcast across the four 16-bit lanes of a `u64` and
-//! compared against packed fingerprint words with the branch-free SWAR
-//! detectors of `qf_sketch::simd`, so a 6-entry bucket resolves in two
-//! packed compares instead of six compare-and-branch iterations. The
-//! fingerprint array carries [`FP_PAD`] zeroed cells of tail padding so
-//! every bucket's probe window is whole packed words with no scalar
-//! remainder (the Qweight array carries the same amount of *saturated*
-//! padding for the fixed-window election — see [`QW_PAD_VALUE`]). The
-//! occupancy mask exists because `fp == 0, qw == 0` is a
-//! *valid occupied entry* — occupancy cannot be inferred from the payload
-//! arrays — but since free slots keep a zeroed fingerprint, only `fp == 0`
-//! probes ever consult it on the match path; as a bonus the
-//! first-free-slot election becomes a single `trailing_zeros`.
+//! The part stores two parallel arrays instead of an array of slot
+//! structs: a flat `Vec<u16>` of fingerprints and a flat `Vec<i32>` of
+//! Qweights. A bucket is the contiguous range `[bucket·b, (bucket+1)·b)` of
+//! each array (the cuckoo-filter layout). This is what makes the hot bucket
+//! scan data-parallel: the probe fingerprint is broadcast across the four
+//! 16-bit lanes of a `u64` and compared against packed fingerprint words
+//! with the branch-free SWAR detectors of `qf_sketch::simd`, so a 6-entry
+//! bucket resolves in two packed compares instead of six compare-and-branch
+//! iterations. The fingerprint array carries [`FP_PAD`] zeroed cells of
+//! tail padding so every bucket's probe window is whole packed words with
+//! no scalar remainder (the Qweight array carries the same amount of
+//! *saturated* padding for the fixed-window election — see
+//! [`QW_PAD_VALUE`]).
+//!
+//! # Fingerprint 0 marks a free slot
+//!
+//! No entry holds fingerprint 0, as in a cuckoo filter: `fingerprint_of`,
+//! `coords_of` and `coords_of_prehashed` map a computed 0 to 1. A key whose
+//! `h_fp` is 0 (1 key in 65,536) then shares fingerprint 1 in its bucket,
+//! like any other fingerprint collision. A slot is free if and only if its
+//! fingerprint is 0, so occupancy needs no array of its own: the packed
+//! words that the probe loads give both the lanes matching the probe and
+//! the free (zero) lanes, and a miss takes its first free slot from the
+//! same words in the same pass. The slot methods take nonzero fingerprints
+//! (debug-asserted where an entry is written), and a lookup of 0 finds
+//! nothing.
 //!
 //! The snapshot wire format is unchanged from the AoS layout (per slot:
-//! occupancy byte, fingerprint, Qweight, in slot order), so snapshots
-//! written by either layout restore into the other bit-identically.
+//! occupancy byte, fingerprint, Qweight, in slot order), with the
+//! occupancy byte derived from `fp != 0`. An occupied slot with fingerprint
+//! 0, written before 0 marked a free slot, decodes as fingerprint 1: what
+//! its key hashes to now.
 
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
 use qf_hash::{
     fingerprint16, fingerprint16_prehashed, stripe_digest, HashedKey, RowHasher, StreamKey,
 };
-use qf_sketch::simd::{broadcast4, eq_lanes4, movemask4, pack4, LANES_PER_WORD};
+use qf_sketch::simd::{broadcast4, eq_lanes4, pack4, zero_lanes4, LANES_PER_WORD};
 
 /// Bytes charged per entry: 2 (fingerprint) + 4 (Qweight counter).
 pub const ENTRY_BYTES: usize = 6;
@@ -48,10 +59,11 @@ const SLOT_WIRE_BYTES: usize = 1 + ENTRY_BYTES;
 /// probe window `[start, start + bucket_len.next_multiple_of(4))` is in
 /// bounds — the SWAR scan then runs whole packed words with no scalar
 /// remainder loop. Padding (and any cross-bucket lanes inside the window)
-/// is stripped by the bucket mask before match bits are consumed, and the
-/// padding cells are never written, so they stay zero for the life of the
-/// part (enforced by `check_invariants`). Not charged by `memory_bytes`.
-const FP_PAD: usize = LANES_PER_WORD - 1;
+/// is stripped by the tail mask before match or free lanes are consumed,
+/// and the padding cells are never written, so they stay zero for the life
+/// of the part (enforced by `check_invariants`). Not charged by
+/// `memory_bytes`.
+pub(crate) const FP_PAD: usize = LANES_PER_WORD - 1;
 
 /// Value of the Qweight padding cells appended past the last bucket (the
 /// analogue of [`FP_PAD`] for the `qws` array). `i32::MAX` instead of zero:
@@ -63,6 +75,16 @@ const FP_PAD: usize = LANES_PER_WORD - 1;
 /// Like the fingerprint padding, these cells are never written and are not
 /// charged by `memory_bytes`.
 const QW_PAD_VALUE: i32 = i32::MAX;
+
+/// High bit of every 16-bit lane: the lane flags of `qf_sketch::simd`.
+const LANE_HI: u64 = 0x8000_8000_8000_8000;
+
+/// The fingerprint an entry stores for a key whose `h_fp` is `fp`: 0 marks
+/// a free slot, so a computed 0 becomes 1.
+#[inline(always)]
+fn stored_fp(fp: u16) -> u16 {
+    fp.max(1)
+}
 
 /// Outcome of the scalar reference walk `CandidatePart::offer` (tests only).
 #[cfg(test)]
@@ -102,20 +124,27 @@ pub enum OfferOutcome {
     },
 }
 
+/// What one probe of a bucket found for a fingerprint, as a slot index
+/// within the bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// The entry holding the fingerprint (the lowest, if several did).
+    Match(usize),
+    /// No entry holds it; this is the bucket's first free slot.
+    Free(usize),
+    /// No entry holds it and the bucket has no free slot.
+    Full,
+}
+
 /// The candidate array, in structure-of-arrays layout (see module docs).
 #[derive(Debug)]
 pub struct CandidatePart {
-    /// Fingerprint of every slot; 0 for free slots.
+    /// Fingerprint of every slot; 0 marks a free slot.
     fps: Vec<u16>,
     /// Qweight of every slot; 0 for free slots.
     qws: Vec<i32>,
-    /// Occupancy bitmask, `occ_words` words per bucket; bit `i` of a
-    /// bucket's word group ⇔ slot `i` occupied.
-    occ: Vec<u64>,
     buckets: usize,
     bucket_len: usize,
-    /// `bucket_len.div_ceil(64)` — words of occupancy per bucket.
-    occ_words: usize,
     bucket_hash: RowHasher,
     fp_seed: u64,
 }
@@ -126,7 +155,6 @@ impl Clone for CandidatePart {
         Self {
             fps: self.fps.clone(),
             qws: self.qws.clone(),
-            occ: self.occ.clone(),
             bucket_hash: self.bucket_hash.clone(),
             ..*self
         }
@@ -135,11 +163,9 @@ impl Clone for CandidatePart {
     fn clone_from(&mut self, source: &Self) {
         self.fps.clone_from(&source.fps);
         self.qws.clone_from(&source.qws);
-        self.occ.clone_from(&source.occ);
         self.bucket_hash.clone_from(&source.bucket_hash);
         self.buckets = source.buckets;
         self.bucket_len = source.bucket_len;
-        self.occ_words = source.occ_words;
         self.fp_seed = source.fp_seed;
     }
 }
@@ -149,7 +175,6 @@ impl Clone for CandidatePart {
 trait SlotWord: Copy {}
 impl SlotWord for u16 {}
 impl SlotWord for i32 {}
-impl SlotWord for u64 {}
 
 /// Stripe digest of a slot array's in-memory bytes (native endian),
 /// chained from `seed`.
@@ -171,7 +196,6 @@ impl CandidatePart {
             return None;
         }
         let bucket_hash = RowHasher::from_parts(buckets, seed ^ 0xB0C4_15E5)?;
-        let occ_words = bucket_len.div_ceil(64);
         Some(Self {
             fps: vec![0; buckets * bucket_len + FP_PAD],
             qws: {
@@ -179,10 +203,8 @@ impl CandidatePart {
                 qws[buckets * bucket_len..].fill(QW_PAD_VALUE);
                 qws
             },
-            occ: vec![0; buckets * occ_words],
             buckets,
             bucket_len,
-            occ_words,
             bucket_hash,
             fp_seed: seed ^ 0xF19E_12F1,
         })
@@ -234,15 +256,16 @@ impl CandidatePart {
         self.bucket_len
     }
 
-    /// Charged memory in bytes. Padding cells (see [`FP_PAD`]) are not
-    /// charged: they exist for loadability, not capacity.
+    /// Charged memory in bytes: the two slot arrays without their padding
+    /// cells (see [`FP_PAD`]), which exist for loadability, not capacity.
     pub fn memory_bytes(&self) -> usize {
         self.buckets * self.bucket_len * ENTRY_BYTES
     }
 
     /// Number of occupied entries.
     pub fn occupancy(&self) -> usize {
-        self.occ.iter().map(|w| w.count_ones() as usize).sum()
+        let slots = self.buckets * self.bucket_len;
+        self.fps[..slots].iter().filter(|&&fp| fp != 0).count()
     }
 
     /// The bucket index a key hashes to (`h_b(x)`).
@@ -251,18 +274,19 @@ impl CandidatePart {
         self.bucket_hash.index(key)
     }
 
-    /// The key's candidate fingerprint (`h_fp(x)`).
+    /// The key's candidate fingerprint: `h_fp(x)`, with 0 mapped to 1
+    /// because 0 marks a free slot (see module docs).
     #[inline(always)]
     pub fn fingerprint_of<K: StreamKey + ?Sized>(&self, key: &K) -> u16 {
-        fingerprint16(key, self.fp_seed)
+        stored_fp(fingerprint16(key, self.fp_seed))
     }
 
-    /// Both candidate coordinates — `h_b(x)` and `h_fp(x)` — captured once
-    /// per insert and carried through the whole operation, so neither hash
-    /// is ever recomputed mid-insert. Fixed-width keys route through their
-    /// seed-independent prehash digest, sharing one mix round between the
-    /// bucket and fingerprint hashes (bit-identically — see
-    /// [`StreamKey::prehash`]).
+    /// Both candidate coordinates — `h_b(x)` and the fingerprint of
+    /// [`Self::fingerprint_of`] — captured once per insert and carried
+    /// through the whole operation, so neither hash is ever recomputed
+    /// mid-insert. Fixed-width keys route through their seed-independent
+    /// prehash digest, sharing one mix round between the bucket and
+    /// fingerprint hashes (bit-identically — see [`StreamKey::prehash`]).
     #[inline(always)]
     pub fn coords_of<K: StreamKey + ?Sized>(&self, key: &K) -> HashedKey {
         if let Some(p) = key.prehash() {
@@ -280,18 +304,17 @@ impl CandidatePart {
     pub fn coords_of_prehashed(&self, prehash: u64) -> HashedKey {
         HashedKey {
             bucket: self.bucket_hash.index_prehashed(prehash),
-            fp: fingerprint16_prehashed(prehash, self.fp_seed),
+            fp: stored_fp(fingerprint16_prehashed(prehash, self.fp_seed)),
         }
     }
 
-    /// Hint-prefetch a bucket's fingerprint, Qweight and occupancy lines
-    /// ahead of [`Self::offer_or_min`] — used by the batch ingest path,
-    /// whose pass 1 hashes a whole chunk and prefetches each item's own
-    /// bucket before pass 2 applies any of them. Out-of-range buckets are
-    /// ignored rather than prefetched: that caller only passes live
-    /// buckets, but a hint pointing past the allocation, while
-    /// architecturally harmless, is a bounds bug waiting for a non-hint
-    /// rewrite, so the guard stays.
+    /// Hint-prefetch a bucket's fingerprint and Qweight lines ahead of
+    /// [`Self::offer_or_min`] — used by the batch ingest path, whose pass 1
+    /// hashes a whole chunk and prefetches each item's own bucket before
+    /// pass 2 applies any of them. Out-of-range buckets are ignored rather
+    /// than prefetched: that caller only passes live buckets, but a hint
+    /// pointing past the allocation, while architecturally harmless, is a
+    /// bounds bug waiting for a non-hint rewrite, so the guard stays.
     #[inline(always)]
     pub fn prefetch(&self, bucket: usize) {
         if bucket >= self.buckets {
@@ -300,142 +323,89 @@ impl CandidatePart {
         let start = bucket * self.bucket_len;
         qf_sketch::prefetch_read(self.fps.as_ptr().wrapping_add(start));
         qf_sketch::prefetch_read(self.qws.as_ptr().wrapping_add(start));
-        qf_sketch::prefetch_read(self.occ.as_ptr().wrapping_add(bucket * self.occ_words));
     }
 
-    #[inline(always)]
-    fn occupied(&self, bucket: usize, slot: usize) -> bool {
-        self.occ[bucket * self.occ_words + slot / 64] >> (slot % 64) & 1 == 1
-    }
-
-    #[inline(always)]
-    fn set_occupied(&mut self, bucket: usize, slot: usize) {
-        self.occ[bucket * self.occ_words + slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    #[inline(always)]
-    fn clear_occupied(&mut self, bucket: usize, slot: usize) {
-        self.occ[bucket * self.occ_words + slot / 64] &= !(1u64 << (slot % 64));
-    }
-
-    /// Bit `i` set ⇔ slot `i` exists in a bucket. Only meaningful for
-    /// single-word buckets (`bucket_len ≤ 64`).
-    #[inline(always)]
-    fn bucket_mask(&self) -> u64 {
-        if self.bucket_len == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bucket_len) - 1
-        }
-    }
-
-    /// Match bits of `fp` over `bucket`'s slots (single-word buckets only):
-    /// bit `i` set ⇔ slot `i` is an occupied entry with fingerprint `fp`.
+    /// Find `fp` in `bucket` and, failing that, the bucket's first free
+    /// slot — one pass over the fingerprints.
     ///
-    /// This is the SWAR hot probe. Thanks to [`FP_PAD`] the window
-    /// `[start, start + bucket_len.next_multiple_of(4))` is always in
-    /// bounds, so the scan is whole packed words — no scalar remainder —
-    /// and the bucket mask strips both the padding lanes and any
-    /// cross-bucket lanes the rounded window covers. Free slots keep a
-    /// zeroed fingerprint (see `remove`/`clear`), so a *nonzero* probe can
-    /// never false-match a free slot and the occupancy word is not read at
-    /// all on that path; only the rare `fp == 0` probe — where a freed
-    /// slot is payload-indistinguishable from a live `⟨0, 0⟩` entry —
-    /// pays the occupancy mask.
+    /// Every bucket width takes the SWAR probe. Thanks to [`FP_PAD`] the
+    /// window `[start, start + bucket_len.next_multiple_of(4))` is always
+    /// in bounds, so the scan is whole packed words with no scalar
+    /// remainder. Each word gives both its match lanes (`eq_lanes4`) and
+    /// its free lanes (`zero_lanes4`: free slots hold 0 and no entry
+    /// does), and the last word's lanes past `bucket_len` — padding or the
+    /// next bucket's slots — are stripped from both. The lane's slot index
+    /// falls out of `trailing_zeros` of the per-lane high-bit mask (bit
+    /// `16i + 15` ⇔ lane `i`). A miss takes its free slot from the words
+    /// already loaded, so the window is never read twice.
+    ///
+    /// `fp` must be nonzero: a probe for 0 matches the free slots.
     #[inline(always)]
-    fn match_bits(&self, bucket: usize, fp: u16) -> u64 {
+    fn probe(&self, bucket: usize, fp: u16) -> Probe {
         let start = bucket * self.bucket_len;
         let probe4 = broadcast4(fp);
-        let padded = self.bucket_len.next_multiple_of(LANES_PER_WORD);
-        let window = &self.fps[start..start + padded];
-        let mut match_bits: u64 = 0;
-        let mut base = 0u32;
-        for chunk in window.chunks_exact(LANES_PER_WORD) {
-            let word = pack4([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            match_bits |= u64::from(movemask4(eq_lanes4(word, probe4))) << base;
-            base += LANES_PER_WORD as u32;
-        }
-        match_bits &= self.bucket_mask();
-        if fp == 0 {
-            match_bits &= self.occ[bucket];
-        }
-        match_bits
-    }
-
-    /// [`Self::find_slot`] fast path for nonzero probes: free slots keep a
-    /// zeroed fingerprint, so no occupancy masking is needed and the scan
-    /// can exit at the first packed word holding a match — one branch per
-    /// four slots, and a hot key whose entry sits in the bucket's first
-    /// word resolves in a single load-compare. The lane's slot index falls
-    /// out of `trailing_zeros` of the per-lane high-bit mask directly
-    /// (bit `16i + 15` ⇔ lane `i`), with no movemask compression.
-    #[inline(always)]
-    fn find_slot_nonzero(&self, bucket: usize, fp: u16) -> Option<usize> {
-        debug_assert!(fp != 0 && self.occ_words == 1);
-        const LANE_HI: u64 = 0x8000_8000_8000_8000;
-        let start = bucket * self.bucket_len;
-        let probe4 = broadcast4(fp);
-        // Lanes of the final word past bucket_len are padding or the next
-        // bucket's slots; strip them before the match test.
         let tail_mask = LANE_HI >> (16 * (self.bucket_len.wrapping_neg() & (LANES_PER_WORD - 1)));
         let padded = self.bucket_len.next_multiple_of(LANES_PER_WORD);
         let window = &self.fps[start..start + padded];
+        let lane = |mask: u64| (mask.trailing_zeros() >> 4) as usize;
         // Paper-shaped buckets (b in 5..=8, default 6) take this fully
         // unrolled two-word probe: the array pattern pins the window length
         // at compile time, so each packed word is a straight 8-byte load
-        // with no loop counter, no per-word bounds logic, and at most two
-        // branches — the shape that lets a hot key's first-word hit resolve
-        // in a handful of cycles.
+        // with no loop counter and no per-word bounds logic, and a hot
+        // key's first-word hit resolves in a handful of cycles.
         if let Ok(w) = <&[u16; 2 * LANES_PER_WORD]>::try_from(window) {
-            let m0 = eq_lanes4(pack4([w[0], w[1], w[2], w[3]]), probe4);
+            let w0 = pack4([w[0], w[1], w[2], w[3]]);
+            let m0 = eq_lanes4(w0, probe4);
             if m0 != 0 {
-                return Some((m0.trailing_zeros() >> 4) as usize);
+                return Probe::Match(lane(m0));
             }
-            let m1 = eq_lanes4(pack4([w[4], w[5], w[6], w[7]]), probe4) & tail_mask;
+            let w1 = pack4([w[4], w[5], w[6], w[7]]);
+            let m1 = eq_lanes4(w1, probe4) & tail_mask;
             if m1 != 0 {
-                return Some(LANES_PER_WORD + (m1.trailing_zeros() >> 4) as usize);
+                return Probe::Match(LANES_PER_WORD + lane(m1));
             }
-            return None;
+            let z0 = zero_lanes4(w0);
+            if z0 != 0 {
+                return Probe::Free(lane(z0));
+            }
+            let z1 = zero_lanes4(w1) & tail_mask;
+            if z1 != 0 {
+                return Probe::Free(LANES_PER_WORD + lane(z1));
+            }
+            return Probe::Full;
         }
         let words = padded / LANES_PER_WORD;
-        let mut base = 0usize;
+        let mut free = None;
         for (w, chunk) in window.chunks_exact(LANES_PER_WORD).enumerate() {
             let word = pack4([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            let mut m = eq_lanes4(word, probe4);
-            if w + 1 == words {
-                m &= tail_mask;
-            }
+            let live = if w + 1 == words { tail_mask } else { LANE_HI };
+            let base = w * LANES_PER_WORD;
+            let m = eq_lanes4(word, probe4) & live;
             if m != 0 {
-                return Some(base + (m.trailing_zeros() >> 4) as usize);
+                return Probe::Match(base + lane(m));
             }
-            base += LANES_PER_WORD;
+            let z = zero_lanes4(word) & live;
+            if free.is_none() && z != 0 {
+                free = Some(base + lane(z));
+            }
         }
-        None
+        free.map_or(Probe::Full, Probe::Free)
     }
 
-    /// Slot index of `fp` among `bucket`'s occupied entries, or `None`.
-    ///
-    /// Single-word buckets (`b ≤ 64`, every paper configuration) run the
-    /// SWAR probes ([`Self::find_slot_nonzero`] for the common nonzero
-    /// fingerprint, [`Self::match_bits`] with occupancy masking for the
-    /// 1-in-2¹⁶ zero fingerprint). The returned index is the *lowest*
-    /// matching slot, preserving the slot-order semantics of the scalar walk
-    /// (duplicates cannot exist — see `check_invariants` — so this only
-    /// matters for defence in depth).
+    /// Slot index of `fp` among `bucket`'s entries, or `None` — always
+    /// `None` for 0, which no entry holds. The index is the *lowest*
+    /// matching slot, preserving the slot-order semantics of the scalar
+    /// walk (duplicates cannot exist — see `check_invariants` — so this
+    /// only matters for defence in depth).
     #[inline]
     fn find_slot(&self, bucket: usize, fp: u16) -> Option<usize> {
-        if self.occ_words == 1 {
-            if fp != 0 {
-                return self.find_slot_nonzero(bucket, fp);
-            }
-            let bits = self.match_bits(bucket, fp);
-            if bits == 0 {
-                return None;
-            }
-            return Some(bits.trailing_zeros() as usize);
+        if fp == 0 {
+            return None;
         }
-        let start = bucket * self.bucket_len;
-        (0..self.bucket_len).find(|&i| self.occupied(bucket, i) && self.fps[start + i] == fp)
+        match self.probe(bucket, fp) {
+            Probe::Match(i) => Some(i),
+            Probe::Free(_) | Probe::Full => None,
+        }
     }
 
     #[inline(always)]
@@ -451,10 +421,11 @@ impl CandidatePart {
     /// so it must not share that scan.
     #[cfg(test)]
     pub fn offer(&mut self, bucket: usize, fp: u16, delta: i64) -> CandidateOutcome {
+        debug_assert!(fp != 0, "fingerprint 0 marks a free slot");
         let start = bucket * self.bucket_len;
         let mut free: Option<usize> = None;
         for i in 0..self.bucket_len {
-            if self.occupied(bucket, i) {
+            if self.fps[start + i] != 0 {
                 if self.fps[start + i] == fp {
                     let widened = i64::from(self.qws[start + i]).saturating_add(delta);
                     self.qws[start + i] = Self::clamp_qw(widened);
@@ -469,7 +440,6 @@ impl CandidatePart {
         if let Some(i) = free {
             self.fps[start + i] = fp;
             self.qws[start + i] = Self::clamp_qw(delta);
-            self.set_occupied(bucket, i);
             return CandidateOutcome::Inserted;
         }
         CandidateOutcome::BucketFull
@@ -478,25 +448,25 @@ impl CandidatePart {
     /// Offer an item with integer weight `delta`: steps 4–8 of Algorithm 2
     /// (match-and-update, or fill-a-hole, or report bucket-full), resolved
     /// in one scan. When the bucket is full with no fingerprint match, it
-    /// also returns the minimum entry found during that same scan — the
-    /// election (Algorithm 2 lines 14–17) then needs no second walk of the
-    /// bucket. The tie-break matches [`Self::min_entry`] exactly: the first
-    /// minimal entry in slot order.
+    /// also returns the bucket's minimum entry — the election (Algorithm 2
+    /// lines 14–17) then needs no second walk of the fingerprints. The
+    /// tie-break matches [`Self::min_entry`] exactly: the first minimal
+    /// entry in slot order.
     ///
-    /// On single-word buckets this is the SWAR hot path: one packed compare
-    /// per four fingerprints decides match-vs-miss, `trailing_zeros` of the
-    /// inverted occupancy word elects the first free slot, and only a full
-    /// bucket pays the (branch-light, conditional-move) min scan. Outcomes
-    /// and mutations are bit-identical to the scalar walk.
+    /// One probe of the packed fingerprint words decides match, free slot
+    /// or full (see [`Self::probe`]), and only a full bucket pays the
+    /// (branch-light, conditional-move) min scan of its Qweights. Outcomes
+    /// and mutations are bit-identical to the scalar walk. `fp` must be
+    /// nonzero (debug-asserted).
     #[inline]
     pub fn offer_or_min(&mut self, bucket: usize, fp: u16, delta: i64) -> OfferOutcome {
+        debug_assert!(fp != 0, "fingerprint 0 marks a free slot");
         let start = bucket * self.bucket_len;
-        if self.occ_words == 1 {
-            if let Some(i) = self.find_slot(bucket, fp) {
+        let i = match self.probe(bucket, fp) {
+            Probe::Match(i) => {
                 // The dominant outcome on skewed streams: a hot key revisits
                 // its own entry. One fps line scanned (usually one packed
-                // word), one qws cell updated through a single bounds check,
-                // occupancy untouched.
+                // word), one qws cell updated through a single bounds check.
                 let cell = &mut self.qws[start + i];
                 let updated = Self::clamp_qw(i64::from(*cell).saturating_add(delta));
                 *cell = updated;
@@ -504,116 +474,72 @@ impl CandidatePart {
                     qweight: i64::from(updated),
                 };
             }
-            let holes = !self.occ[bucket] & self.bucket_mask();
-            if holes != 0 {
-                let i = holes.trailing_zeros() as usize;
+            Probe::Free(i) => {
                 self.fps[start + i] = fp;
                 self.qws[start + i] = Self::clamp_qw(delta);
-                self.set_occupied(bucket, i);
                 return OfferOutcome::Inserted;
             }
-            // Full bucket, no match: first-minimal election in slot order.
-            let b = self.bucket_len;
-            if b > LANES_PER_WORD && b <= 2 * LANES_PER_WORD {
-                // Paper-shaped buckets (4 < b ≤ 8, default 6) elect over a
-                // fixed eight-lane window so the reduction is a three-deep
-                // min tree instead of a serial compare-and-select chain.
-                // Lanes past bucket_len (the next bucket's slots, or the
-                // saturated tail padding) are forced to i32::MAX, which a
-                // strict minimum over a full bucket can never prefer; the
-                // first-minimal index then drops out of an equality bitmask
-                // restricted to live lanes — matching min_entry's tie-break
-                // with no data-dependent branch. The window is loadable for
-                // every bucket because qws carries FP_PAD saturated cells.
-                if let Ok(w) = <&[i32; 2 * LANES_PER_WORD]>::try_from(
-                    &self.qws[start..start + 2 * LANES_PER_WORD],
-                ) {
-                    let q5 = if b > 5 { w[5] } else { i32::MAX };
-                    let q6 = if b > 6 { w[6] } else { i32::MAX };
-                    let q7 = if b > 7 { w[7] } else { i32::MAX };
-                    let min_qw = w[0]
-                        .min(w[1])
-                        .min(w[2].min(w[3]))
-                        .min(w[4].min(q5).min(q6.min(q7)));
-                    let eqmask = (u32::from(w[0] == min_qw)
-                        | u32::from(w[1] == min_qw) << 1
-                        | u32::from(w[2] == min_qw) << 2
-                        | u32::from(w[3] == min_qw) << 3
-                        | u32::from(w[4] == min_qw) << 4
-                        | u32::from(q5 == min_qw) << 5
-                        | u32::from(q6 == min_qw) << 6
-                        | u32::from(q7 == min_qw) << 7)
-                        & ((1u32 << b) - 1);
-                    let min_i = eqmask.trailing_zeros() as usize;
-                    return OfferOutcome::BucketFull {
-                        min_fp: self.fps[start + min_i],
-                        min_qw: i64::from(min_qw),
-                    };
-                }
-            }
-            // Other widths: strict `<` keeps the first minimal entry, like
-            // min_entry's min_by_key; the loop body is two compares and two
-            // selects, so it lowers to conditional moves rather than a
-            // branchy walk.
-            let qws = &self.qws[start..start + self.bucket_len];
-            let mut min_i = 0usize;
-            let mut min_qw = qws[0];
-            for (i, &v) in qws.iter().enumerate().skip(1) {
-                if v < min_qw {
-                    min_qw = v;
-                    min_i = i;
-                }
-            }
-            return OfferOutcome::BucketFull {
-                min_fp: self.fps[start + min_i],
-                min_qw: i64::from(min_qw),
-            };
+            Probe::Full => self.min_slot(bucket),
+        };
+        OfferOutcome::BucketFull {
+            min_fp: self.fps[start + i],
+            min_qw: i64::from(self.qws[start + i]),
         }
-        self.offer_or_min_scalar(bucket, fp, delta)
     }
 
-    /// Scalar fallback of [`Self::offer_or_min`] for multi-word buckets
-    /// (`b > 64` — diagnostic sweeps only; every paper configuration fits
-    /// one occupancy word).
-    fn offer_or_min_scalar(&mut self, bucket: usize, fp: u16, delta: i64) -> OfferOutcome {
+    /// Slot index of a full bucket's first minimal Qweight, in slot order
+    /// (Algorithm 2 line 14; the tie-break of [`Self::min_entry`]).
+    #[inline(always)]
+    fn min_slot(&self, bucket: usize) -> usize {
         let start = bucket * self.bucket_len;
-        let mut free: Option<usize> = None;
-        let mut min: Option<(u16, i32)> = None;
-        for i in 0..self.bucket_len {
-            if self.occupied(bucket, i) {
-                if self.fps[start + i] == fp {
-                    let widened = i64::from(self.qws[start + i]).saturating_add(delta);
-                    self.qws[start + i] = Self::clamp_qw(widened);
-                    return OfferOutcome::Updated {
-                        qweight: i64::from(self.qws[start + i]),
-                    };
-                }
-                if min.is_none_or(|(_, qw)| self.qws[start + i] < qw) {
-                    min = Some((self.fps[start + i], self.qws[start + i]));
-                }
-            } else if free.is_none() {
-                free = Some(i);
+        let b = self.bucket_len;
+        if b > LANES_PER_WORD && b <= 2 * LANES_PER_WORD {
+            // Paper-shaped buckets (4 < b ≤ 8, default 6) elect over a
+            // fixed eight-lane window so the reduction is a three-deep
+            // min tree instead of a serial compare-and-select chain.
+            // Lanes past bucket_len (the next bucket's slots, or the
+            // saturated tail padding) are forced to i32::MAX, which a
+            // strict minimum over a full bucket can never prefer; the
+            // first-minimal index then drops out of an equality bitmask
+            // restricted to live lanes — matching min_entry's tie-break
+            // with no data-dependent branch. The window is loadable for
+            // every bucket because qws carries FP_PAD saturated cells.
+            if let Ok(w) =
+                <&[i32; 2 * LANES_PER_WORD]>::try_from(&self.qws[start..start + 2 * LANES_PER_WORD])
+            {
+                let q5 = if b > 5 { w[5] } else { i32::MAX };
+                let q6 = if b > 6 { w[6] } else { i32::MAX };
+                let q7 = if b > 7 { w[7] } else { i32::MAX };
+                let min_qw = w[0]
+                    .min(w[1])
+                    .min(w[2].min(w[3]))
+                    .min(w[4].min(q5).min(q6.min(q7)));
+                let eqmask = (u32::from(w[0] == min_qw)
+                    | u32::from(w[1] == min_qw) << 1
+                    | u32::from(w[2] == min_qw) << 2
+                    | u32::from(w[3] == min_qw) << 3
+                    | u32::from(w[4] == min_qw) << 4
+                    | u32::from(q5 == min_qw) << 5
+                    | u32::from(q6 == min_qw) << 6
+                    | u32::from(q7 == min_qw) << 7)
+                    & ((1u32 << b) - 1);
+                return eqmask.trailing_zeros() as usize;
             }
         }
-        if let Some(i) = free {
-            self.fps[start + i] = fp;
-            self.qws[start + i] = Self::clamp_qw(delta);
-            self.set_occupied(bucket, i);
-            return OfferOutcome::Inserted;
+        // Other widths: strict `<` keeps the first minimal entry, like
+        // min_entry's min_by_key; the loop body is two compares and two
+        // selects, so it lowers to conditional moves rather than a
+        // branchy walk.
+        let qws = &self.qws[start..start + b];
+        let mut min_i = 0usize;
+        let mut min_qw = qws[0];
+        for (i, &v) in qws.iter().enumerate().skip(1) {
+            if v < min_qw {
+                min_qw = v;
+                min_i = i;
+            }
         }
-        match min {
-            Some((min_fp, min_qw)) => OfferOutcome::BucketFull {
-                min_fp,
-                min_qw: i64::from(min_qw),
-            },
-            // Unreachable: a full bucket (no free slot, bucket_len ≥ 1) has
-            // at least one occupied entry. An i64::MAX minimum makes every
-            // election a no-op rather than panicking.
-            None => OfferOutcome::BucketFull {
-                min_fp: fp,
-                min_qw: i64::MAX,
-            },
-        }
+        min_i
     }
 
     /// Read a key's Qweight if its fingerprint is present in `bucket`.
@@ -639,11 +565,10 @@ impl CandidatePart {
         self.find_slot(bucket, fp).map(|i| {
             let idx = bucket * self.bucket_len + i;
             let old = i64::from(self.qws[idx]);
-            // Free slots stay fully zeroed: the snapshot wire format and the
-            // invariant checker both rely on it.
+            // Fingerprint 0 frees the slot; free slots keep a zero Qweight,
+            // which the invariant checker relies on.
             self.fps[idx] = 0;
             self.qws[idx] = 0;
-            self.clear_occupied(bucket, i);
             old
         })
     }
@@ -652,15 +577,17 @@ impl CandidatePart {
     /// Algorithm 2 line 14). `None` only if the bucket is somehow empty.
     pub fn min_entry(&self, bucket: usize) -> Option<(u16, i64)> {
         let start = bucket * self.bucket_len;
-        (0..self.bucket_len)
-            .filter(|&i| self.occupied(bucket, i))
-            .min_by_key(|&i| self.qws[start + i])
-            .map(|i| (self.fps[start + i], i64::from(self.qws[start + i])))
+        (start..start + self.bucket_len)
+            .filter(|&i| self.fps[i] != 0)
+            .min_by_key(|&i| self.qws[i])
+            .map(|i| (self.fps[i], i64::from(self.qws[i])))
     }
 
     /// Replace the entry `old_fp` in `bucket` with `⟨new_fp, new_qw⟩`
     /// (the candidate⇄vague exchange). Returns the evicted Qweight.
+    /// `new_fp` must be nonzero (debug-asserted).
     pub fn replace(&mut self, bucket: usize, old_fp: u16, new_fp: u16, new_qw: i64) -> Option<i64> {
+        debug_assert!(new_fp != 0, "fingerprint 0 marks a free slot");
         self.find_slot(bucket, old_fp).map(|i| {
             let idx = bucket * self.bucket_len + i;
             crate::telemetry::eviction();
@@ -679,17 +606,14 @@ impl CandidatePart {
         let slots = self.buckets * self.bucket_len;
         self.fps[..slots].fill(0);
         self.qws[..slots].fill(0);
-        self.occ.fill(0);
     }
 
     /// Iterate over `(bucket, fp, qweight)` of all occupied entries —
     /// used by diagnostics and the eval harness.
     pub fn iter_entries(&self) -> impl Iterator<Item = (usize, u16, i64)> + '_ {
-        (0..self.buckets * self.bucket_len).filter_map(move |i| {
-            let (bucket, slot) = (i / self.bucket_len, i % self.bucket_len);
-            self.occupied(bucket, slot)
-                .then_some((bucket, self.fps[i], i64::from(self.qws[i])))
-        })
+        (0..self.buckets * self.bucket_len)
+            .filter(|&i| self.fps[i] != 0)
+            .map(|i| (i / self.bucket_len, self.fps[i], i64::from(self.qws[i])))
     }
 
     /// The bucket hash's seed, for snapshotting.
@@ -702,20 +626,17 @@ impl CandidatePart {
         self.fp_seed
     }
 
-    /// Stripe digest of the fingerprint, Qweight and occupancy arrays,
-    /// padding included, chained from `seed` (the candidate half of
+    /// Stripe digest of the fingerprint and Qweight arrays, padding
+    /// included, chained from `seed` (the candidate half of
     /// [`crate::QuantileFilter::state_digest`]).
     pub(crate) fn state_digest(&self, seed: u64) -> u64 {
-        digest_words(
-            &self.occ,
-            digest_words(&self.qws, digest_words(&self.fps, seed)),
-        )
+        digest_words(&self.qws, digest_words(&self.fps, seed))
     }
 
-    /// The three slot arrays, for tests that inspect or damage them.
+    /// The two slot arrays, for tests that inspect or damage them.
     #[cfg(test)]
-    pub(crate) fn slots_mut(&mut self) -> (&mut Vec<u16>, &mut Vec<i32>, &mut Vec<u64>) {
-        (&mut self.fps, &mut self.qws, &mut self.occ)
+    pub(crate) fn slots_mut(&mut self) -> (&mut Vec<u16>, &mut Vec<i32>) {
+        (&mut self.fps, &mut self.qws)
     }
 
     /// Upper bound on restored slot counts; a corrupted dimension field
@@ -729,33 +650,30 @@ impl CandidatePart {
 
     /// Serialize every slot (occupied flag, fingerprint, Qweight) into a
     /// snapshot's state section. The per-slot record order is the AoS wire
-    /// format — unchanged by the SoA layout. The records are encoded in
-    /// place into one block, walking the three arrays bucket by bucket so
-    /// that a slot's occupancy bit needs no division of its index.
+    /// format — unchanged by the SoA layout — and the occupied flag is
+    /// `fp != 0`. The records are encoded in place into one block.
     pub(crate) fn write_state(&self, w: &mut ByteWriter) {
-        let (len, slots) = (self.bucket_len, self.buckets * self.bucket_len);
+        let slots = self.buckets * self.bucket_len;
         // Fixed-size records, so every store below has a constant offset.
         let (records, _) = w
             .put_block(slots * SLOT_WIRE_BYTES)
             .as_chunks_mut::<SLOT_WIRE_BYTES>();
-        let buckets = records
-            .chunks_exact_mut(len)
-            .zip(self.fps[..slots].chunks_exact(len))
-            .zip(self.qws[..slots].chunks_exact(len))
-            .zip(self.occ.chunks_exact(self.occ_words));
-        for (((records, fps), qws), occ) in buckets {
-            let slots = records.iter_mut().zip(fps).zip(qws);
-            for (slot, ((record, &fp), &qw)) in slots.enumerate() {
-                let occupied = occ.get(slot / 64).map_or(0, |word| word >> (slot % 64) & 1);
-                let [f0, f1] = fp.to_le_bytes();
-                let [q0, q1, q2, q3] = qw.to_le_bytes();
-                *record = [occupied as u8, f0, f1, q0, q1, q2, q3];
-            }
+        let entries = records
+            .iter_mut()
+            .zip(&self.fps[..slots])
+            .zip(&self.qws[..slots]);
+        for ((record, &fp), &qw) in entries {
+            let [f0, f1] = fp.to_le_bytes();
+            let [q0, q1, q2, q3] = qw.to_le_bytes();
+            *record = [u8::from(fp != 0), f0, f1, q0, q1, q2, q3];
         }
     }
 
     /// Rebuild the part from snapshotted configuration and slot state.
-    /// Never panics: malformed input surfaces as a [`WireError`].
+    /// Never panics: malformed input surfaces as a [`WireError`]. An
+    /// occupied slot with fingerprint 0 decodes as fingerprint 1 (see
+    /// module docs); a bucket that then holds fingerprint 1 twice is
+    /// rejected.
     pub(crate) fn from_state(
         buckets: u64,
         bucket_len: u64,
@@ -775,33 +693,35 @@ impl CandidatePart {
         let (buckets, bucket_len) = (buckets as usize, bucket_len as usize);
         let bucket_hash = RowHasher::from_parts(buckets, bucket_seed)
             .ok_or(WireError::Invalid("degenerate bucket hash"))?;
-        let occ_words = bucket_len.div_ceil(64);
         let mut part = Self {
             fps: Vec::with_capacity(buckets * bucket_len + FP_PAD),
             qws: Vec::with_capacity(buckets * bucket_len + FP_PAD),
-            occ: vec![0; buckets * occ_words],
             buckets,
             bucket_len,
-            occ_words,
             bucket_hash,
             fp_seed,
         };
         let block = r.get_bytes(buckets * bucket_len * SLOT_WIRE_BYTES)?;
         let (records, _) = block.as_chunks::<SLOT_WIRE_BYTES>();
-        for (bucket, records) in records.chunks_exact(bucket_len).enumerate() {
-            for (slot, &[flag, f0, f1, q0, q1, q2, q3]) in records.iter().enumerate() {
+        for records in records.chunks_exact(bucket_len) {
+            let mut ones = 0;
+            for &[flag, f0, f1, q0, q1, q2, q3] in records {
                 let fp = u16::from_le_bytes([f0, f1]);
                 let qw = i32::from_le_bytes([q0, q1, q2, q3]);
-                match flag {
+                let fp = match flag {
                     0 if fp != 0 || qw != 0 => {
                         return Err(WireError::Invalid("free slot with residual payload"))
                     }
-                    0 => {}
-                    1 => part.set_occupied(bucket, slot),
+                    0 => 0,
+                    1 => stored_fp(fp),
                     _ => return Err(WireError::Invalid("bad slot occupancy flag")),
-                }
+                };
+                ones += usize::from(fp == 1);
                 part.fps.push(fp);
                 part.qws.push(qw);
+            }
+            if ones > 1 {
+                return Err(WireError::Invalid("bucket holds fingerprint 1 twice"));
             }
         }
         part.fps.resize(buckets * bucket_len + FP_PAD, 0);
@@ -840,19 +760,6 @@ impl qf_sketch::invariants::CheckInvariants for CandidatePart {
             // cell could win the last bucket's minimum.
             return Err(V::new(S, "qweight padding is not saturated"));
         }
-        if self.occ_words != self.bucket_len.div_ceil(64)
-            || self.occ.len() != self.buckets * self.occ_words
-        {
-            return Err(V::new(
-                S,
-                format!(
-                    "{} occupancy words for {} buckets of {} slots",
-                    self.occ.len(),
-                    self.buckets,
-                    self.bucket_len
-                ),
-            ));
-        }
         if self.bucket_hash.range() != self.buckets {
             return Err(V::new(
                 S,
@@ -864,46 +771,24 @@ impl qf_sketch::invariants::CheckInvariants for CandidatePart {
             ));
         }
         for b in 0..self.buckets {
-            // Bits past bucket_len in the bucket's occupancy group must be
-            // zero, or occupancy() overcounts and the SWAR hole election
-            // could install entries in slots that don't exist.
-            for (w, &word) in self.occ[b * self.occ_words..(b + 1) * self.occ_words]
-                .iter()
-                .enumerate()
-            {
-                let bits_before = w * 64;
-                let live = self.bucket_len.saturating_sub(bits_before).min(64);
-                let live_mask = if live == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << live) - 1
-                };
-                if word & !live_mask != 0 {
-                    return Err(V::new(
-                        S,
-                        format!("bucket {b} occupancy word {w} has ghost bits"),
-                    ));
-                }
-            }
             let start = b * self.bucket_len;
             let mut seen = [false; u16::MAX as usize + 1];
-            for i in 0..self.bucket_len {
-                if self.occupied(b, i) {
+            for i in start..start + self.bucket_len {
+                let fp = self.fps[i];
+                if fp == 0 {
+                    if self.qws[i] != 0 {
+                        // Free slots always hold a zero Qweight; residue
+                        // means a remove/clear path missed a field.
+                        return Err(V::new(S, format!("free slot in bucket {b} has residue")));
+                    }
+                } else if std::mem::replace(&mut seen[usize::from(fp)], true) {
                     // offer() never duplicates a fingerprint and replace()
                     // only installs challengers absent from the bucket, so
                     // a duplicate means an update went to the wrong entry.
-                    let fp = self.fps[start + i];
-                    if seen[usize::from(fp)] {
-                        return Err(V::new(
-                            S,
-                            format!("bucket {b} holds fingerprint {fp:#06x} twice"),
-                        ));
-                    }
-                    seen[usize::from(fp)] = true;
-                } else if self.fps[start + i] != 0 || self.qws[start + i] != 0 {
-                    // Free slots are always fully zeroed; residue means a
-                    // remove/clear path missed a field.
-                    return Err(V::new(S, format!("free slot in bucket {b} has residue")));
+                    return Err(V::new(
+                        S,
+                        format!("bucket {b} holds fingerprint {fp:#06x} twice"),
+                    ));
                 }
             }
         }
@@ -994,15 +879,28 @@ mod tests {
 
     #[test]
     fn swar_and_scalar_offer_agree_across_bucket_lengths() {
-        // The SWAR single-word path and the scalar multi-word path must make
-        // identical decisions for every bucket length around the 4-lane
-        // boundaries and across the 64-slot word boundary. The scalar
-        // `offer` is the reference; `offer_or_min` takes the SWAR path
-        // whenever bucket_len ≤ 64.
+        // The SWAR probe and the scalar walk must make identical decisions
+        // for every bucket length around the 4-lane boundaries, for the
+        // unrolled two-word widths, and for wide buckets scanned over many
+        // words, with free slots both at the end of a bucket and, after
+        // removals, between its entries. The test-only scalar `offer` is
+        // the reference; `offer_or_min` takes the SWAR probe at every
+        // width.
         for bucket_len in [1usize, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 128] {
             let mut swar = CandidatePart::new(2, bucket_len, 77);
             let mut scalar = CandidatePart::new(2, bucket_len, 77);
             for k in 0u64..600 {
+                if k % 5 == 4 {
+                    // Free the slot of an earlier key, wherever it sits.
+                    let victim = k * 3 / 5;
+                    let (bucket, fp) = (swar.bucket_of(&victim), swar.fingerprint_of(&victim));
+                    let removed = swar.remove(bucket, fp);
+                    assert_eq!(
+                        removed,
+                        scalar.remove(bucket, fp),
+                        "len {bucket_len} key {k}"
+                    );
+                }
                 let bucket = swar.bucket_of(&k);
                 let fp = swar.fingerprint_of(&k);
                 let delta = (k as i64 % 17) - 8;
@@ -1092,23 +990,35 @@ mod tests {
         assert_eq!(p.iter_entries().count(), 0);
     }
 
+    /// A key whose `h_fp` is 0 under seed [`FP0_SEED`], found by a search
+    /// over the keys from 0 up and kept here so the test does no search.
+    const FP0_KEY: u64 = 32_336;
+    const FP0_SEED: u64 = 7;
+
     #[test]
-    fn zero_fingerprint_zero_qweight_is_a_real_entry() {
-        // ⟨fp 0, qw 0⟩ is indistinguishable from a freed slot in the payload
-        // arrays — only the occupancy mask separates them. The SWAR probe
-        // must find the occupied zero entry and must NOT match freed slots.
-        let mut p = CandidatePart::new(1, 4, 3);
+    fn zero_fingerprint_maps_to_one_and_marks_a_free_slot() {
+        let mut p = CandidatePart::new(1, 4, FP0_SEED);
+        assert_eq!(fingerprint16(&FP0_KEY, p.fp_seed()), 0, "h_fp of the key");
+        let hk = p.coords_of(&FP0_KEY);
+        assert_eq!(hk.fp, 1);
+        assert_eq!(p.fingerprint_of(&FP0_KEY), 1);
+
+        // No entry holds 0, so a lookup of 0 finds nothing, free slots
+        // included.
         assert_eq!(p.get(0, 0), None);
-        assert_eq!(p.offer(0, 0, 0), CandidateOutcome::Inserted);
-        assert_eq!(p.get(0, 0), Some(0));
-        assert_eq!(p.remove(0, 0), Some(0));
+        for fp in [hk.fp, 2, 3, 4] {
+            assert_eq!(p.offer_or_min(0, fp, 5), OfferOutcome::Inserted);
+        }
         assert_eq!(p.get(0, 0), None);
-        assert_eq!(
-            p.offer_or_min(0, 0, 0),
-            OfferOutcome::Inserted,
-            "freed slot must not false-match a zero probe"
-        );
-        assert_eq!(p.get(0, 0), Some(0));
+        assert_eq!(p.get(0, hk.fp), Some(5));
+
+        // A removed slot takes the next insert.
+        assert_eq!(p.remove(0, hk.fp), Some(5));
+        assert_eq!(p.get(0, 0), None);
+        assert_eq!(p.occupancy(), 3);
+        assert_eq!(p.offer_or_min(0, 9, -1), OfferOutcome::Inserted);
+        assert_eq!(p.slots_mut().0[..4], [9, 2, 3, 4]);
+        assert_eq!(p.get(0, 9), Some(-1));
     }
 
     #[test]
@@ -1214,7 +1124,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn prop_get_after_offer_roundtrips(fps in proptest::collection::vec(0u16..100, 1..20)) {
+        fn prop_get_after_offer_roundtrips(fps in proptest::collection::vec(1u16..100, 1..20)) {
             // Within a single bucket of ample size, an offered fp is always
             // retrievable with its cumulative weight.
             let mut p = CandidatePart::new(1, 128, 9);

@@ -1149,17 +1149,55 @@ mod tests {
         );
     }
 
-    /// Where the arrays of `f` live: the three candidate slot arrays and
-    /// the sketch grid, whose address `grid` reads.
-    fn array_ptrs<S: WeightSketch>(f: &mut QuantileFilter<S>, grid: fn(&S) -> usize) -> [usize; 4] {
+    /// Where the arrays of `f` live: the two candidate slot arrays and the
+    /// sketch grid, whose address `grid` reads.
+    fn array_ptrs<S: WeightSketch>(f: &mut QuantileFilter<S>, grid: fn(&S) -> usize) -> [usize; 3] {
         let cells = grid(f.vague.inner());
-        let (fps, qws, occ) = f.candidate.slots_mut();
-        [
-            fps.as_ptr() as usize,
-            qws.as_ptr() as usize,
-            occ.as_ptr() as usize,
-            cells,
-        ]
+        let (fps, qws) = f.candidate.slots_mut();
+        [fps.as_ptr() as usize, qws.as_ptr() as usize, cells]
+    }
+
+    /// Bytes `f` allocates for its state: the candidate slot arrays and
+    /// the sketch grid, whose size `grid` reads.
+    fn array_bytes<S: WeightSketch>(f: &mut QuantileFilter<S>, grid: fn(&S) -> usize) -> usize {
+        let cells = grid(f.vague.inner());
+        let (fps, qws) = f.candidate.slots_mut();
+        std::mem::size_of_val(&fps[..]) + std::mem::size_of_val(&qws[..]) + cells
+    }
+
+    /// A filter allocates what it charges: `memory_bytes()` is the bytes of
+    /// its slot arrays and sketch grid, less the `FP_PAD` padding cells of
+    /// each slot array.
+    #[test]
+    fn memory_bytes_is_what_the_arrays_allocate() {
+        use crate::candidate::{ENTRY_BYTES, FP_PAD};
+        fn assert_charged<S: WeightSketch>(
+            what: &str,
+            mut f: QuantileFilter<S>,
+            grid: fn(&S) -> usize,
+        ) {
+            let charged = f.memory_bytes() + FP_PAD * ENTRY_BYTES;
+            assert_eq!(charged, array_bytes(&mut f, grid), "{what}");
+        }
+        let cs = |s: &CountSketch<i8>| std::mem::size_of_val(s.raw_cells());
+        let cms = |s: &CountMinSketch<i32>| std::mem::size_of_val(s.raw_cells());
+        let budget = |bytes| {
+            QuantileFilterBuilder::new(default_criteria())
+                .memory_budget_bytes(bytes)
+                .seed(5)
+        };
+        assert_charged("512 KiB", budget(512 << 10).build(), cs);
+        assert_charged("32 KiB", budget(32 << 10).build(), cs);
+        for b in [4, 8, 65] {
+            assert_charged(
+                &format!("b = {b}"),
+                budget(64 << 10).bucket_len(b).build(),
+                cs,
+            );
+        }
+        let sketch = CountMinSketch::with_memory_budget(3, 12 << 10, 5);
+        let f = budget(64 << 10).build_with_sketch(sketch);
+        assert_charged("Count-Min", f, cms);
     }
 
     fn cs_grid(s: &CountSketch<i8>) -> usize {
@@ -1170,7 +1208,7 @@ mod tests {
         s.raw_cells().as_ptr() as usize
     }
 
-    /// `copy.clone_from(live)` keeps `copy`'s four arrays and reproduces
+    /// `copy.clone_from(live)` keeps `copy`'s three arrays and reproduces
     /// `live`: equal digests and equal snapshots.
     fn assert_cloned_in_place<S>(
         live: &QuantileFilter<S>,
@@ -1230,10 +1268,9 @@ mod tests {
         assert_cloned_in_place(&cms, &mut cms_copy, cms_grid);
 
         type Mutation<'a> = (&'a str, &'a dyn Fn(&mut QuantileFilter));
-        let mutations: [Mutation; 11] = [
+        let mutations: [Mutation; 10] = [
             ("fingerprint", &|f| f.candidate.slots_mut().0[0] ^= 1),
             ("qweight", &|f| f.candidate.slots_mut().1[0] ^= 1),
-            ("occupancy bit", &|f| f.candidate.slots_mut().2[0] ^= 1),
             ("sketch cell", &|f| {
                 let last = f.vague.inner().raw_cells().len() - 1;
                 flip_cell(f, last, 0)
@@ -1268,9 +1305,9 @@ mod tests {
         for i in 0..200u64 {
             let _ = tiny.insert(&(i % 13), if i % 3 == 0 { 500.0 } else { 10.0 });
         }
-        let (fps, qws, occ) = {
-            let (fps, qws, occ) = tiny.candidate.slots_mut();
-            (fps.len(), qws.len(), occ.len())
+        let (fps, qws) = {
+            let (fps, qws) = tiny.candidate.slots_mut();
+            (fps.len(), qws.len())
         };
         let cells = tiny.vague.inner().raw_cells().len();
         let mut seen = std::collections::HashSet::from([tiny.state_digest()]);
@@ -1289,17 +1326,12 @@ mod tests {
                 flip("qws", i, bit, &|f| f.candidate.slots_mut().1[i] ^= 1 << bit);
             }
         }
-        for i in 0..occ {
-            for bit in 0..64 {
-                flip("occ", i, bit, &|f| f.candidate.slots_mut().2[i] ^= 1 << bit);
-            }
-        }
         for i in 0..cells {
             for bit in 0..8 {
                 flip("cells", i, bit, &|f| flip_cell(f, i, bit));
             }
         }
-        assert_eq!(seen.len(), 1 + 16 * fps + 32 * qws + 64 * occ + 8 * cells);
+        assert_eq!(seen.len(), 1 + 16 * fps + 32 * qws + 8 * cells);
     }
 
     /// `clone_from` into a filter of another shape copies the shape too:

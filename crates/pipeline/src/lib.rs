@@ -37,11 +37,27 @@
 //!   crashed or wedged worker costs a bounded, *accounted* loss window
 //!   instead of the pipeline ([`Pipeline::launch_supervised`] tunes it
 //!   with a [`SupervisorConfig`]). A checkpoint is a copy of the shard's
-//!   filter plus a digest, so each shard holds its filter, two checkpoint
-//!   copies, and a replay journal of `2 × (checkpoint_interval +
-//!   slab_capacity)` entries. The qf-chaos harness ([`ChaosPlan`] +
+//!   filter plus a digest. The qf-chaos harness ([`ChaosPlan`] +
 //!   [`Pipeline::launch_chaos`]) injects panics, hangs, poison keys, and
 //!   checkpoint corruption to prove it.
+//!
+//! ## Memory per shard
+//!
+//! [`Pipeline::memory_bytes`] is the detector state, the paper's memory
+//! axis: the sum of the shard filters' charges, which is what each filter
+//! allocates for its arrays less 18 B of padding. Supervision and the
+//! handoff cost each shard more, and that is not counted there:
+//!
+//! * two checkpoint copies of the filter;
+//! * a replay journal of `2 × (checkpoint_interval + slab_capacity)`
+//!   entries at 16 B each: 270,352 B at the default 8,192-item interval
+//!   and 256-item slabs;
+//! * up to `ring_slots() + 3` slabs of `slab_capacity` items at 16 B each:
+//!   28,672 B at 256-item slabs and `queue_capacity: 1024`.
+//!
+//! A 512 KiB shard (524,274 B of filter arrays) thus holds about 1.84 MB
+//! in its filter, checkpoints and journal, and about 1.87 MB with its
+//! slabs.
 //!
 //! ```
 //! use qf_pipeline::{BackpressurePolicy, Pipeline, PipelineConfig};

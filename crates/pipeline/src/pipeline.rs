@@ -100,28 +100,39 @@ use std::time::{Duration, Instant};
 /// per-push path when the queue has room.
 const PUSH_ROUND_BUDGET: usize = 512;
 
-/// What the router does when a shard queue is full.
+/// What the router does when a shard queue is full. The policy resolves
+/// when a filled slab meets a full ring, against the incoming item (the
+/// one that filled the slab). Only `DropNewest` acts at once: the other
+/// three first wait for room, up to `PUSH_ROUND_BUDGET` (512) spin/yield
+/// rounds per attempt, so while the worker keeps draining they all behave
+/// like `Block`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackpressurePolicy {
     /// Wait (spin/yield) until the worker frees a slot. Lossless;
     /// ingest latency absorbs the overload.
     Block,
-    /// Drop the incoming item and count it (per shard, plus the
-    /// `qf_pipeline_dropped_total` telemetry counter). Bounded ingest
-    /// latency; the drop rate is the overload signal.
+    /// Drop the incoming item as soon as one push finds the ring full,
+    /// without waiting, and count it (per shard, plus the
+    /// `qf_pipeline_dropped_total` telemetry counter). The rest of the
+    /// slab stays buffered for the next flush. Bounded ingest latency;
+    /// the drop rate is the overload signal.
     DropNewest,
-    /// Admit the incoming item by shedding the *oldest* queued slab: the
-    /// router posts a shed credit that the worker redeems by discarding
-    /// the slab at the queue head (every contained item counted per
-    /// shard as `shed`). Keeps the freshest data under overload — the
-    /// right bias for an online detector. At `slab_capacity: 1` this is
-    /// exactly the v1 oldest-item drop.
+    /// Admit the incoming item by shedding the *oldest* queued slab. A
+    /// full ring first makes the router wait up to 512 spin/yield rounds,
+    /// as `Block` does. Only if the ring is still full does it post a
+    /// shed credit, which the worker redeems by discarding the slab at
+    /// the queue head (every contained item counted per shard as `shed`);
+    /// the router then waits for the slot that frees. Keeps the freshest
+    /// data when the worker stalls — the right bias for an online
+    /// detector. At `slab_capacity: 1` this is exactly the v1 oldest-item
+    /// drop.
     DropOldest,
     /// `DropOldest` with per-key fairness: admission history is sampled
-    /// into 256 key buckets, and when the queue is full an item from a
-    /// bucket holding more than 4× its fair share is dropped *itself*
-    /// instead of shedding someone else's oldest. Heavy keys absorb the
-    /// overload they cause; light keys keep flowing.
+    /// into 256 key buckets. After the same wait of up to 512 rounds, an
+    /// item from a bucket holding more than 4× its fair share is dropped
+    /// *itself* instead of posting a shed credit against someone else's
+    /// oldest slab. Heavy keys absorb the overload they cause; light keys
+    /// keep flowing.
     ShedFair,
 }
 
@@ -701,7 +712,11 @@ impl Pipeline {
         self.shards.len()
     }
 
-    /// Summed memory of the shard filters, captured at launch.
+    /// Summed memory of the shard filters, captured at launch: the
+    /// detector state, which is the paper's memory axis. A shard's
+    /// checkpoints, journal and slabs are not counted here; the crate
+    /// docs' [memory per shard](crate#memory-per-shard) section prices
+    /// them.
     pub fn memory_bytes(&self) -> usize {
         self.memory_bytes
     }

@@ -38,6 +38,8 @@
 //! checkpoint never replaces a good one. The journal is pruned only up
 //! to the *older* checkpoint's sequence, with one `drain` of the prefix
 //! whose length follows from the journal's consecutive sequence numbers.
+//! Those numbers are not stored: the journal always ends at the last
+//! applied item, so the front entry's is `applied + 1 − len`.
 //! So `older checkpoint + journal` still reconstructs the full state when
 //! the newest checkpoint fails its digest — corruption costs replay
 //! time, not data.
@@ -283,9 +285,10 @@ pub struct RecoveryRecord {
     pub restart_latency: Duration,
 }
 
+/// One applied item. Its sequence number is implied by its position: the
+/// journal holds the consecutive items ending at `RecoveryInner::applied`.
 #[derive(Debug, Clone, Copy)]
 struct JournalEntry {
-    seq: u64,
     key: u64,
     value: f64,
 }
@@ -397,11 +400,12 @@ impl RecoveryInner {
     /// Journal a slab of applied items, in order. Called by the worker
     /// inside its batch commit, after the generation check.
     pub(crate) fn append(&mut self, items: &[(u64, f64)]) {
-        let first = self.applied + 1;
         self.applied += items.len() as u64;
-        let entries = items.iter().zip(first..);
-        self.journal
-            .extend(entries.map(|(&(key, value), seq)| JournalEntry { seq, key, value }));
+        self.journal.extend(
+            items
+                .iter()
+                .map(|&(key, value)| JournalEntry { key, value }),
+        );
         // Unreachable by construction (seals prune faster than the cap),
         // but a bounded journal must stay bounded regardless.
         let excess = self.journal.len().saturating_sub(self.journal_cap);
@@ -412,6 +416,19 @@ impl RecoveryInner {
     #[cfg(test)]
     pub(crate) fn seals(&self) -> u64 {
         self.seals
+    }
+
+    /// Sequence number of the journal's front entry (`applied + 1` when
+    /// the journal is empty): entries are consecutive and end at
+    /// `applied`.
+    fn front_seq(&self) -> u64 {
+        self.applied + 1 - self.journal.len() as u64
+    }
+
+    /// The journal's entries with their sequence numbers.
+    #[cfg(test)]
+    fn journal_with_seqs(&self) -> impl Iterator<Item = (u64, &JournalEntry)> {
+        (self.front_seq()..).zip(&self.journal)
     }
 
     fn latest_seq(&self) -> u64 {
@@ -460,10 +477,8 @@ impl RecoveryInner {
         // consecutive, so the entries at or below `bound` are a prefix
         // whose length follows from the front entry's seq.
         let bound = self.slots[1 - standby].as_ref().map_or(0, |c| c.seq);
-        if let Some(front) = self.journal.front() {
-            let stale = (bound + 1).saturating_sub(front.seq) as usize;
-            self.journal.drain(..stale.min(self.journal.len()));
-        }
+        let stale = (bound + 1).saturating_sub(self.front_seq()) as usize;
+        self.journal.drain(..stale.min(self.journal.len()));
         telemetry::checkpoint_sealed();
         // Runs on the worker thread (under the commit lock), so the
         // thread-local flight context routes this to the shard's ring.
@@ -493,7 +508,7 @@ impl RecoveryInner {
         }
         // No checkpoint is usable. The base works iff the journal still
         // reaches back to item 1 (or nothing was ever applied).
-        let covers_all = self.applied == 0 || self.journal.front().is_some_and(|e| e.seq == 1);
+        let covers_all = self.front_seq() == 1;
         if covers_all {
             let mut filter = build_fresh()?;
             let replayed = self.replay_onto(&mut filter, 0)?;
@@ -504,22 +519,16 @@ impl RecoveryInner {
 
     /// Replay journal entries `(base_seq, applied]` onto `filter`,
     /// suppressing reports (the crashed generation already emitted
-    /// them). `None` if the journal does not contiguously cover that
-    /// range.
+    /// them). `None` if the journal does not reach back to
+    /// `base_seq + 1`; it always reaches forward to `applied`.
     fn replay_onto(&self, filter: &mut QuantileFilter, base_seq: u64) -> Option<u64> {
-        let mut expected = base_seq + 1;
-        for e in &self.journal {
-            if e.seq <= base_seq {
-                continue;
-            }
-            if e.seq != expected {
-                return None;
-            }
-            let _ = filter.insert(&e.key, e.value);
-            expected += 1;
-        }
-        if expected != self.applied + 1 {
+        let front = self.front_seq();
+        if front > base_seq + 1 {
             return None;
+        }
+        let skip = (base_seq + 1 - front) as usize;
+        for e in self.journal.iter().skip(skip) {
+            let _ = filter.insert(&e.key, e.value);
         }
         Some(self.applied - base_seq)
     }
@@ -662,9 +671,9 @@ mod tests {
         inner.append(&items[..5]);
         inner.append(&items[5..]);
         assert_eq!(inner.applied, 20);
-        let seqs: Vec<u64> = inner.journal.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = inner.journal_with_seqs().map(|(seq, _)| seq).collect();
         assert_eq!(seqs, (9..=20).collect::<Vec<_>>(), "newest 12, in order");
-        assert!(inner.journal.iter().all(|e| e.key + 1 == e.seq));
+        assert!(inner.journal_with_seqs().all(|(seq, e)| e.key + 1 == seq));
     }
 
     #[test]
@@ -777,7 +786,7 @@ mod tests {
             inner.seal_checkpoint(0, &filter, None);
             seals += 1;
             let older = inner.slots[1 - inner.latest].as_ref().map_or(0, |c| c.seq);
-            let seqs: Vec<u64> = inner.journal.iter().map(|e| e.seq).collect();
+            let seqs: Vec<u64> = inner.journal_with_seqs().map(|(seq, _)| seq).collect();
             assert_eq!(seqs.first(), Some(&(older + 1)), "seal {seals}");
             assert_eq!(seqs.last(), Some(&inner.applied), "seal {seals}");
             assert_eq!(seqs.len() as u64, inner.applied - older, "seal {seals}");

@@ -61,15 +61,6 @@ pub fn eq_lanes4(x: u64, probe4: u64) -> u64 {
     zero_lanes4(x ^ probe4)
 }
 
-/// Compress a per-lane high-bit mask (as produced by [`zero_lanes4`] /
-/// [`eq_lanes4`]) into the low 4 bits: bit `i` set ⇔ lane `i` fired.
-#[inline(always)]
-pub fn movemask4(mask: u64) -> u32 {
-    // The only set bits are at positions 15/31/47/63; route each to its lane
-    // index. Stray cross-terms all land at bit 16 or above and are masked.
-    ((mask >> 15 | mask >> 30 | mask >> 45 | mask >> 60) & 0xF) as u32
-}
-
 /// Branch-free conditional negate: `if negative { -x } else { x }` as two
 /// ALU ops, so the Count sketch's signed bump never forks the pipeline.
 #[inline(always)]
@@ -81,6 +72,14 @@ pub fn apply_sign(x: i64, negative: bool) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compress a per-lane high-bit mask (as produced by [`zero_lanes4`] /
+    /// [`eq_lanes4`]) into the low 4 bits: bit `i` set ⇔ lane `i` fired.
+    fn movemask4(mask: u64) -> u32 {
+        // The only set bits are at positions 15/31/47/63; route each to its
+        // lane index. Stray cross-terms all land at bit 16 or above.
+        ((mask >> 15 | mask >> 30 | mask >> 45 | mask >> 60) & 0xF) as u32
+    }
 
     fn scalar_zero_mask(lanes: [u16; 4]) -> u32 {
         lanes

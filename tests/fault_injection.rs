@@ -9,6 +9,7 @@
 //! * wrong-container restores (epoch bytes into a bare filter, ...)
 //! * random garbage buffers
 //! * NaN / ±∞ / subnormal-adjacent adversarial value streams
+//! * snapshots written while fingerprint 0 was still a storable value
 
 use qf_repro::qf_hash::SplitMix64;
 use qf_repro::qf_sketch::CountSketch;
@@ -207,4 +208,76 @@ fn restored_filter_snapshot_is_idempotent() {
     let first = qf.snapshot();
     let restored: QuantileFilter = QuantileFilter::restore(&first).unwrap();
     assert_eq!(restored.snapshot(), first);
+}
+
+// Two snapshots recorded from the wire-v2 encoder of the candidate
+// layout that kept a per-bucket occupancy bitmask, and so could store
+// fingerprint 0. Both are of `one_bucket()`; FP0_KEY's `h_fp` is 0 under
+// its seed, and FP1_KEY's is 1.
+
+/// `one_bucket()` after FP0_KEY was inserted with values 500, 500 and 10:
+/// one entry, fingerprint 0, Qweight 17.
+const FP0_SNAPSHOT: &str = concat!(
+    "5146534e02000000be00000094945a1693631f93014b0000000000000000001440cdcccccccc",
+    "ccec3f00000000000059400101000000000000000200000000000000e215c4b000000000f612",
+    "9ef10000000001010100000000000000040000000000000030f8815d73f36e3c0500ed5e0000",
+    "0000020000000000000001000000000000000000000000000000000000000000000000000000",
+    "000000000100001100000000000000000000ebe60d7ac976488700000000185d3159055c2543",
+);
+
+/// `one_bucket()` after FP0_KEY was inserted with value 500 and FP1_KEY
+/// with value 10: fingerprint 0 with Qweight 9 next to fingerprint 1 with
+/// Qweight −1.
+const FP0_FP1_SNAPSHOT: &str = concat!(
+    "5146534e02000000be00000094945a1693631f93014b0000000000000000001440cdcccccccc",
+    "ccec3f00000000000059400101000000000000000200000000000000e215c4b000000000f612",
+    "9ef1000000000101010000000000000004000000000000001b7c37deb979379e0500ed5e0000",
+    "0000000000000000000002000000000000000000000000000000000000000000000000000000",
+    "0000000001000009000000010100ffffffffebe60d7ac9764887000000007bf860dfbc7028ff",
+);
+
+const FP0_KEY: u64 = 32_336;
+const FP1_KEY: u64 = 140_299;
+
+/// The shape both recorded snapshots were taken of.
+fn one_bucket() -> QuantileFilter {
+    QuantileFilterBuilder::new(crit())
+        .candidate_buckets(1)
+        .bucket_len(2)
+        .vague_dims(1, 4)
+        .seed(7)
+        .build()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn stored_zero_fingerprint_restores_as_fingerprint_one() {
+    // Both keys now hash to fingerprint 1 in bucket 0.
+    let probe = one_bucket();
+    let cand = probe.candidate_part();
+    assert_eq!(cand.fingerprint_of(&FP0_KEY), 1);
+    assert_eq!(cand.fingerprint_of(&FP1_KEY), 1);
+
+    let mut qf: QuantileFilter = QuantileFilter::restore(&unhex(FP0_SNAPSHOT)).unwrap();
+    let entries: Vec<_> = qf.candidate_part().iter_entries().collect();
+    assert_eq!(entries, [(0, 1, 17)]);
+    assert_eq!(qf.query(&FP0_KEY), 17);
+    // The restored entry is the key's own: the next insert updates it.
+    assert!(qf.insert(&FP0_KEY, 10.0).is_none());
+    assert_eq!(qf.query(&FP0_KEY), 16);
+    assert_eq!(qf.candidate_part().occupancy(), 1);
+}
+
+#[test]
+fn stored_zero_fingerprint_next_to_fingerprint_one_is_rejected() {
+    match QuantileFilter::<CountSketch<i8>>::restore(&unhex(FP0_FP1_SNAPSHOT)) {
+        Err(QfError::CorruptSnapshot { .. }) => {}
+        other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+    }
 }
