@@ -30,8 +30,9 @@
 //! The three protocols checked by the workspace harnesses:
 //!
 //! 1. SPSC ring handoff (`qf-pipeline/src/ring.rs`) — slot publication
-//!    via release/acquire on `tail`/`head`, park/wake via the SeqCst
-//!    fence handshake.
+//!    via release/acquire on `tail`, the slot's release (with the buffer
+//!    the consumer leaves in it) via release/acquire on `head`, park/wake
+//!    via the SeqCst fence handshake.
 //! 2. Flight-recorder seqlock (`qf-trace/src/ring.rs`) — per-slot
 //!    stamp parking + release publication, acquire/fence reader.
 //! 3. Supervisor generation fencing (`qf-pipeline/src/supervisor.rs`)

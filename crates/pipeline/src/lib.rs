@@ -52,11 +52,12 @@
 //! * a replay journal of `2 × (checkpoint_interval + slab_capacity)`
 //!   entries at 16 B each: 270,352 B at the default 8,192-item interval
 //!   and 256-item slabs;
-//! * up to `ring_slots() + 3` slabs of `slab_capacity` items at 16 B each:
-//!   28,672 B at 256-item slabs and `queue_capacity: 1024`.
+//! * up to `ring_slots() + 1` slabs of `slab_capacity` items at 16 B each
+//!   — one per ring slot, the slab being applied included, plus the
+//!   router's — 20,480 B at 256-item slabs and `queue_capacity: 1024`.
 //!
 //! A 512 KiB shard (524,274 B of filter arrays) thus holds about 1.84 MB
-//! in its filter, checkpoints and journal, and about 1.87 MB with its
+//! in its filter, checkpoints and journal, and about 1.86 MB with its
 //! slabs.
 //!
 //! ```

@@ -22,9 +22,9 @@
 //! single-writer deployment model, preserved per shard — drains each
 //! slab through the fused `insert_batch` hot path, sends [`Event`]s
 //! into one shared mpsc sink the caller drains with
-//! [`Pipeline::poll_reports`], and hands the emptied slab back through
-//! its own return ring, so a warmed router refills slabs instead of
-//! allocating one per handoff.
+//! [`Pipeline::poll_reports`], and leaves the emptied slab in its ring
+//! slot, where the router's next push takes it back: a warmed router
+//! refills slabs instead of allocating one per handoff.
 //!
 //! ## Supervision
 //!
@@ -54,9 +54,10 @@
 //! shed credit discards the whole slab at the queue head, every
 //! contained item counted, and its keys un-noted from the `ShedFair`
 //! sketch); `lost_to_crash` is exactly the accounted loss
-//! window of each crash (the uncommitted slab + in-ring slabs — items
-//! still buffered in the router survive a restart and flush to the
-//! replacement worker), zero when nothing crashed. Both laws hold at
+//! window of each crash (the uncommitted slabs holding a ring slot, the
+//! one being applied included — items still buffered in the router
+//! survive a restart and flush to the replacement worker), zero when
+//! nothing crashed. Both laws hold at
 //! slab granularity: `enqueued` counts admission into the router slab,
 //! which is an extension of the queue — shutdown and snapshot flush it
 //! before cutting.
@@ -77,7 +78,7 @@
 use crate::chaos::{ArmedChaos, ChaosPlan};
 use crate::flight::ShardFlight;
 use crate::health::{OpsView, ShardBoard};
-use crate::ring::{Consumer, Producer, PushError, SpscRing};
+use crate::ring::{Producer, PushError, SpscRing};
 use crate::snapshot::{open_shards, seal_shards};
 use crate::supervisor::{
     CrashCause, RecoveredBase, RecoveryRecord, ShardRecovery, ShardState, SupervisorConfig,
@@ -147,9 +148,10 @@ pub struct PipelineConfig {
     /// Memory budget per shard filter, in bytes.
     pub memory_bytes_per_shard: usize,
     /// Items per shard queue (minimum 2). The ring carries whole slabs,
-    /// so it gets [`Self::ring_slots`] slots and buffers up to
-    /// `ring_slots() * slab_capacity` items: `queue_capacity` rounded up
-    /// to whole slabs and a power-of-two slot count.
+    /// so it gets [`Self::ring_slots`] slots and holds up to
+    /// `ring_slots() * slab_capacity` items, the slab the worker is
+    /// applying included: `queue_capacity` rounded up to whole slabs and
+    /// a power-of-two slot count.
     pub queue_capacity: usize,
     /// The maximum slab size: items the router buffers per shard before
     /// handing them over as one ring slot (minimum 1; `1` reproduces the
@@ -174,10 +176,11 @@ impl PipelineConfig {
     }
 
     /// Slots in each shard's ring: ⌈`queue_capacity` / `slab_capacity`⌉
-    /// rounded up to a power of two, minimum 2. A crashed worker loses at
-    /// most these slabs plus the one it was applying, so
-    /// `(ring_slots() + 1) * slab_capacity` items bound each restart's
-    /// loss window.
+    /// rounded up to a power of two, minimum 2. A slab holds its slot
+    /// until the worker has committed it, so the slots bound the slab
+    /// being applied as well as the queued ones: a crashed worker loses
+    /// at most these slabs, and `ring_slots() * slab_capacity` items bound
+    /// each restart's loss window.
     pub fn ring_slots(&self) -> usize {
         self.queue_capacity
             .div_ceil(self.slab_capacity.max(1))
@@ -318,15 +321,11 @@ struct ShardHandle {
     worker: Option<JoinHandle<()>>,
     /// The shard's accumulating slab: admitted items wait here until the
     /// slab fills, a poll finds the queue empty, or a flush point, then
-    /// travel as one ring slot.
+    /// travel as one ring slot. While a flush holds the slab, an empty
+    /// stand-in that owns no buffer ([`Slab::take`]); the push's leftover
+    /// replaces it ([`ShardHandle::refill`]), or a refused push puts the
+    /// slab back.
     buf: Slab,
-    /// Consumer side of the current worker generation's return ring:
-    /// drained slabs come back here, empty, for [`ShardHandle::take_buf`]
-    /// to fill again.
-    returns: Consumer<Slab>,
-    /// An empty slab displaced when a refused push handed the shard's
-    /// slab back; reused before the return ring is consulted.
-    spare: Option<Slab>,
     enqueued: u64,
     dropped: u64,
     rejected: u64,
@@ -357,9 +356,13 @@ struct ShardHandle {
     /// Loss already attributed to earlier fences, so each recovery
     /// record carries only its own increment.
     lost_so_far: u64,
-    /// Watchdog: last observed progress counter and when it last moved.
+    /// Watchdog: last observed progress counter and when the stall clock
+    /// last (re)started — at a move of the counter, or at a probe that
+    /// followed a gap in the probes.
     last_progress: u64,
     last_progress_at: Instant,
+    /// Watchdog: when [`Pipeline::hang_confirmed`] last probed this shard.
+    last_probe_at: Instant,
     /// The wire-v2 frame a [`Pipeline::restore`]d shard started from: its
     /// state before its first item, which recovery rebuilds on when no
     /// checkpoint is usable. `None` for a shard launched from the config,
@@ -368,28 +371,21 @@ struct ShardHandle {
 }
 
 impl ShardHandle {
-    /// Take the accumulated slab for flushing, leaving an empty slab in
-    /// its place: the spare, else one the worker returned, else a new one
-    /// of the same capacity. A warmed shard allocates nothing here.
-    fn take_buf(&mut self) -> Slab {
-        let empty = match self.spare.take().or_else(|| self.returns.try_pop()) {
-            Some(slab) => slab,
-            None => Slab::with_capacity(self.buf.capacity()),
+    /// A push landed and returned what its slot held: the emptied slab
+    /// the worker released there becomes the next one to fill. A slot
+    /// that never held a slab (warm-up) or last held a control message
+    /// returns none, and only then is a slab allocated.
+    fn refill(&mut self, back: Option<Msg>) {
+        self.buf = match back {
+            Some(Msg::Slab(slab)) => slab,
+            _ => Slab::with_capacity(self.buf.capacity()),
         };
-        std::mem::replace(&mut self.buf, empty)
-    }
-
-    /// Re-buffer a slab a refused push handed back, keeping the empty
-    /// slab it displaces as the spare for the next [`Self::take_buf`].
-    fn restore_buf(&mut self, slab: Slab) {
-        self.spare = Some(std::mem::replace(&mut self.buf, slab));
     }
 }
 
 /// The router's ends of a newly spawned worker generation.
 struct Spawned {
     queue: Producer<Msg>,
-    returns: Consumer<Slab>,
     worker: JoinHandle<()>,
 }
 
@@ -573,11 +569,7 @@ impl Pipeline {
                 config.slab_capacity,
             ));
             let flight = ShardFlight::new(shard);
-            let Spawned {
-                queue,
-                returns,
-                worker,
-            } = Self::spawn_worker(
+            let Spawned { queue, worker } = Self::spawn_worker(
                 &config,
                 shard,
                 filter,
@@ -596,8 +588,6 @@ impl Pipeline {
                 queue,
                 worker: Some(worker),
                 buf: Slab::with_capacity(config.slab_capacity),
-                returns,
-                spare: None,
                 enqueued: 0,
                 dropped: 0,
                 rejected: 0,
@@ -614,6 +604,7 @@ impl Pipeline {
                 lost_so_far: 0,
                 last_progress: 0,
                 last_progress_at: Instant::now(),
+                last_probe_at: Instant::now(),
                 restored,
             });
         }
@@ -644,18 +635,17 @@ impl Pipeline {
         }
     }
 
-    /// Start one worker generation with its own queue and return ring;
-    /// returns the router's ends of both and the worker's join handle.
+    /// Start one worker generation with its own ring; returns the
+    /// router's end of it and the worker's join handle.
     ///
-    /// The return ring carries drained slabs back for reuse. A shard's
-    /// slabs are the router's `buf`, the one a flush holds, up to
-    /// `ring_slots()` queued, and the one the worker drains; the router
-    /// allocates only when its spare and the return ring are empty, so at
-    /// most `ring_slots() + 3` slabs exist. When the worker returns one,
-    /// the router holds at least its `buf`, so at most `ring_slots() + 2`
-    /// can be waiting: sized to that, the return ring never turns a slab
-    /// away. A new generation gets a new return ring, so a fenced worker
-    /// that wakes up never becomes a second producer on its successor's.
+    /// Drained slabs come back through the same ring: the worker leaves
+    /// each one in its slot, and the router's next push there takes it
+    /// back. A shard's slabs are thus the router's `buf` (or, during a
+    /// flush, the slab in its hand, with a stand-in that owns no buffer
+    /// in `buf`) and one per ring slot, which covers the slab the worker is
+    /// applying: at most `ring_slots() + 1` per generation. A new
+    /// generation gets a new ring, so a fenced worker that wakes up never
+    /// touches a slot its successor uses.
     fn spawn_worker(
         config: &PipelineConfig,
         shard: usize,
@@ -664,18 +654,13 @@ impl Pipeline {
         sup: Supervision,
     ) -> Result<Spawned, PipelineError> {
         let (queue, consumer) = SpscRing::with_capacity(config.ring_slots()).split();
-        let (give_back, returns) = SpscRing::with_capacity(config.ring_slots() + 2).split();
         let worker = std::thread::Builder::new()
             .name(format!("qf-pipeline-{shard}"))
-            .spawn(move || run_supervised(shard, consumer, give_back, filter, sink, sup))
+            .spawn(move || run_supervised(shard, consumer, filter, sink, sup))
             .map_err(|e| PipelineError::InvalidConfig {
                 reason: format!("failed to spawn worker thread: {e}"),
             })?;
-        Ok(Spawned {
-            queue,
-            returns,
-            worker,
-        })
+        Ok(Spawned { queue, worker })
     }
 
     /// Rebuild a pipeline from a [`Self::snapshot`] envelope, with
@@ -721,8 +706,9 @@ impl Pipeline {
         self.memory_bytes
     }
 
-    /// Ring slots currently occupied for `shard` (racy snapshot): queued
-    /// slabs, not items.
+    /// Slabs in `shard`'s ring that its worker has not taken yet (racy
+    /// snapshot): queued slabs, not items, and not the slab being
+    /// applied, which still holds its slot.
     pub fn queue_len(&self, shard: usize) -> usize {
         self.shards.get(shard).map_or(0, |s| s.queue.len())
     }
@@ -842,7 +828,7 @@ impl Pipeline {
     /// enqueued by their own ingest calls.
     fn flush_full(&mut self, shard: usize, key: u64) -> IngestOutcome {
         let policy = self.config.policy;
-        let mut msg = Msg::Slab(self.shards[shard].take_buf());
+        let mut msg = Msg::Slab(self.shards[shard].buf.take());
         let mut shed_requested = false;
         loop {
             if self.shards[shard].state == ShardState::Quarantined {
@@ -859,7 +845,8 @@ impl Pipeline {
                     .try_push_for(msg, PUSH_ROUND_BUDGET),
             };
             match attempt {
-                Ok(()) => {
+                Ok(back) => {
+                    self.shards[shard].refill(back);
                     if self.shards[shard].stalled {
                         self.note_backpressure(shard, false);
                     }
@@ -917,7 +904,7 @@ impl Pipeline {
     fn undo_admit(handle: &mut ShardHandle, msg: Msg) -> IngestOutcome {
         if let Msg::Slab(mut slab) = msg {
             let _ = slab.pop();
-            handle.restore_buf(slab);
+            handle.buf = slab;
         }
         IngestOutcome::Dropped
     }
@@ -940,7 +927,7 @@ impl Pipeline {
         if self.shards[shard].buf.is_empty() {
             return;
         }
-        let mut msg = Msg::Slab(self.shards[shard].take_buf());
+        let mut msg = Msg::Slab(self.shards[shard].buf.take());
         loop {
             if self.shards[shard].state == ShardState::Quarantined {
                 // Discarded: the items stay counted as enqueued and land
@@ -951,7 +938,8 @@ impl Pipeline {
                 .queue
                 .try_push_for(msg, PUSH_ROUND_BUDGET)
             {
-                Ok(()) => {
+                Ok(back) => {
+                    self.shards[shard].refill(back);
                     if self.shards[shard].stalled {
                         self.note_backpressure(shard, false);
                     }
@@ -979,6 +967,9 @@ impl Pipeline {
     /// Deliver a control message to `shard`'s worker, recovering through
     /// dead and hung workers until it lands. `false` when the shard is,
     /// or ends up, quarantined: there is no worker left to receive it.
+    /// An emptied slab the push takes back from the slot is freed: the
+    /// worker releases the control message's slot empty, so the next slab
+    /// pushed there allocates its successor.
     fn push_control(&mut self, shard: usize, mut msg: Msg) -> bool {
         loop {
             if self.shards[shard].state == ShardState::Quarantined {
@@ -988,7 +979,7 @@ impl Pipeline {
                 .queue
                 .try_push_for(msg, PUSH_ROUND_BUDGET)
             {
-                Ok(()) => return true,
+                Ok(_) => return true,
                 Err((PushError::Disconnected, m)) => {
                     msg = m;
                     self.recover_shard(shard, CrashCause::Panic, 0);
@@ -1004,12 +995,22 @@ impl Pipeline {
     }
 
     /// Watchdog probe, called only when pushes to `shard` are stalling:
-    /// has its progress counter been frozen past the deadline?
+    /// has its progress counter stayed frozen through a whole deadline of
+    /// probes?
+    ///
+    /// A probe that comes more than a deadline after the previous one
+    /// convicts nothing: in that gap the router was itself not running (a
+    /// host-wide stall) or not pushing, so it watched no stall it could
+    /// blame on the worker. The stall clock restarts at that probe
+    /// instead. A real hang is still convicted after a deadline of
+    /// probes; a worker that hung while the router was idle is convicted
+    /// one deadline later than its hang alone would warrant.
     fn hang_confirmed(&mut self, shard: usize) -> bool {
         let deadline = self.sup.watchdog_deadline;
         let s = &mut self.shards[shard];
         let progress = s.recovery.progress();
         let now = Instant::now();
+        let previous_probe = std::mem::replace(&mut s.last_probe_at, now);
         if progress != s.last_progress {
             s.last_progress = progress;
             s.last_progress_at = now;
@@ -1018,7 +1019,9 @@ impl Pipeline {
             }
             return false;
         }
-        if now.duration_since(s.last_progress_at) >= deadline {
+        if now.duration_since(previous_probe) >= deadline {
+            s.last_progress_at = now;
+        } else if now.duration_since(s.last_progress_at) >= deadline {
             return true;
         }
         if s.state == ShardState::Running {
@@ -1085,7 +1088,8 @@ impl Pipeline {
         // minus what the router still holds (its buffered slab plus any
         // slab in the caller's hand), which survives the crash and will
         // be re-flushed to the replacement worker. Covers the
-        // uncommitted slab and whatever sat in the ring.
+        // uncommitted slabs in the ring's slots, the one being applied
+        // included.
         if let Some(rec) = &recovered {
             if rec.base == RecoveredBase::StateLoss {
                 s.processed_cum += rec.prior_applied;
@@ -1149,13 +1153,8 @@ impl Pipeline {
             }
         };
         match respawned {
-            Some(Spawned {
-                queue,
-                returns,
-                worker,
-            }) => {
+            Some(Spawned { queue, worker }) => {
                 s.queue = queue;
-                s.returns = returns;
                 s.worker = Some(worker);
                 s.stalled = false;
                 s.restarts += 1;
@@ -1206,12 +1205,12 @@ impl Pipeline {
     /// arrival order (per shard: emission order).
     ///
     /// First, every shard whose queue is empty — its worker has taken
-    /// every slab and is idle or finishing the last one — is handed its
-    /// partial router slab. That is the freshness contract: while a
-    /// shard's worker is idle, a later poll returns the reports for every
-    /// item ingested before this one, without further ingest. A shard
-    /// whose queue is non-empty keeps filling its slab, so a loaded
-    /// pipeline batches exactly as before.
+    /// every slab and is idle or finishing the last one, which still
+    /// holds its slot — is handed its partial router slab. That is the
+    /// freshness contract: while a shard's worker is idle, a later poll
+    /// returns the reports for every item ingested before this one,
+    /// without further ingest. A shard whose queue is non-empty keeps
+    /// filling its slab, so a loaded pipeline batches exactly as before.
     pub fn poll_reports(&mut self) -> Vec<ReportEvent> {
         self.hand_off_idle();
         let mut out: Vec<ReportEvent> = self.pending.drain(..).collect();
@@ -1242,16 +1241,17 @@ impl Pipeline {
             if handle.buf.is_empty() || !handle.queue.is_empty() {
                 continue;
             }
-            let slab = handle.take_buf();
+            let slab = handle.buf.take();
             match handle.queue.try_push(Msg::Slab(slab)) {
-                Ok(()) => {
+                Ok(back) => {
+                    handle.refill(back);
                     if handle.stalled {
                         self.note_backpressure(shard, false);
                     }
                 }
                 Err((_, msg)) => {
                     if let Msg::Slab(slab) = msg {
-                        handle.restore_buf(slab);
+                        handle.buf = slab;
                     }
                 }
             }
@@ -1289,8 +1289,11 @@ impl Pipeline {
                 missing += 1;
             }
         }
+        // Wait half a deadline between probes: the watchdog convicts only
+        // a stall it watched through probes less than a deadline apart.
+        let probe_every = self.sup.watchdog_deadline / 2;
         while missing > 0 {
-            match self.events.recv_timeout(self.sup.watchdog_deadline) {
+            match self.events.recv_timeout(probe_every) {
                 Ok(Event::Report { shard, key, report }) => {
                     self.pending.push_back(ReportEvent { shard, key, report });
                 }
@@ -1655,18 +1658,19 @@ mod tests {
         assert_eq!(s1.processed, s1.enqueued);
     }
 
-    /// A recovered shard reads its drained slabs from the replacement
-    /// worker's return ring, not the fenced worker's, so a fenced worker
-    /// that wakes up can never feed the live ring; the shard keeps
-    /// accepting and conserving items through its new ring.
+    /// A recovered shard gets a fresh ring: the router pushes to the
+    /// replacement worker's ring, not the fenced worker's, so a fenced
+    /// worker that wakes up can never touch a slot the live generation
+    /// uses. The shard keeps accepting and conserving items through the
+    /// new ring, and its slabs keep coming back through it.
     #[test]
-    fn recovery_gives_the_shard_a_new_return_ring() {
+    fn recovery_gives_the_shard_a_fresh_ring() {
         let config = PipelineConfig {
             slab_capacity: 4,
             ..cfg(2, BackpressurePolicy::Block)
         };
         let mut pipe = launch(config);
-        let fenced = pipe.shards[0].returns.ring_addr();
+        let fenced = pipe.shards[0].queue.ring_addr();
         assert!(pipe.shards[0].queue.push_blocking(Msg::Shutdown).is_ok());
         let (k0, k1) = (key_on(0, 2), key_on(1, 2));
         let ingest = |pipe: &mut Pipeline, key: u64| match pipe.ingest(key, 5.0) {
@@ -1684,12 +1688,12 @@ mod tests {
         // The replacement's ring was built while the router still held
         // the fenced one, so two live rings cannot share an address.
         assert_ne!(
-            pipe.shards[0].returns.ring_addr(),
+            pipe.shards[0].queue.ring_addr(),
             fenced,
-            "the router still reads the fenced generation's return ring"
+            "the router still pushes to the fenced generation's ring"
         );
         // Many slabs per shard, handed over both full and at polls, so
-        // the new ring carries every one of them back at least once.
+        // every slot of the new ring carries a slab back at least once.
         for round in 0..64 {
             for _ in 0..9 {
                 ingest(&mut pipe, k0);
@@ -1712,6 +1716,47 @@ mod tests {
         let (s0, s1) = (summary.per_shard[0], summary.per_shard[1]);
         assert!(s0.processed >= 64 * 9, "shard 0 stopped applying: {s0:?}");
         assert_eq!(s1.processed, s1.enqueued);
+    }
+
+    /// The watchdog convicts only a stall it watched: a probe that comes
+    /// more than a deadline after the previous one restarts the stall
+    /// clock, and only a whole deadline of closely spaced probes
+    /// convicts. An idle worker never moves its progress counter, so to
+    /// the probe it looks exactly like a hung one.
+    #[test]
+    fn watchdog_convicts_only_a_stall_it_watched() {
+        let deadline = Duration::from_millis(20);
+        let sup = SupervisorConfig {
+            watchdog_deadline: deadline,
+            ..SupervisorConfig::default()
+        };
+        let mut pipe = match Pipeline::launch_supervised(cfg(1, BackpressurePolicy::Block), sup) {
+            Ok(p) => p,
+            Err(e) => panic!("launch: {e}"),
+        };
+        let mut watched_from = Instant::now();
+        for gap in 0..3 {
+            std::thread::sleep(2 * deadline);
+            watched_from = Instant::now();
+            assert!(
+                !pipe.hang_confirmed(0),
+                "a probe after a gap of twice the deadline convicted (gap {gap})"
+            );
+        }
+        let give_up = watched_from + Duration::from_secs(30);
+        while !pipe.hang_confirmed(0) {
+            assert!(
+                Instant::now() < give_up,
+                "continuous probes never convicted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            watched_from.elapsed() >= deadline,
+            "convicted after {:?} of probes, under the {deadline:?} deadline",
+            watched_from.elapsed()
+        );
+        assert_eq!(shut(pipe).restarts, 0);
     }
 
     /// A restored shard that crashes before its first checkpoint rebuilds

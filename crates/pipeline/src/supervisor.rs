@@ -251,11 +251,11 @@ pub enum RecoveredBase {
 
 /// One recovery event, as recorded in
 /// [`PipelineSummary::recoveries`](crate::PipelineSummary::recoveries).
-/// The loss bound: a crash loses exactly `lost` items — the slab being
-/// applied plus the slabs in the ring at crash time, at most
-/// `(PipelineConfig::ring_slots() + 1) × slab_capacity` — and nothing
-/// else. A quarantine record also counts the router-held slab it
-/// discards.
+/// The loss bound: a crash loses exactly `lost` items — the uncommitted
+/// slabs holding a ring slot at crash time, the one being applied
+/// included, at most `PipelineConfig::ring_slots() × slab_capacity` —
+/// and nothing else. A quarantine record also counts the router-held
+/// slab it discards.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryRecord {
     /// Shard that crashed.

@@ -1,4 +1,4 @@
-//! The per-shard worker: pops slabs off its SPSC queue, drains each one
+//! The per-shard worker: takes slabs off its SPSC queue, drains each one
 //! through its privately-owned `QuantileFilter`'s fused batch path, and
 //! forwards reports to the sink.
 //!
@@ -23,15 +23,17 @@
 //! `shed`, and (under `ShedFair`) its keys un-noted from the shared
 //! fairness sketch so partial-slab shed stays exactly accounted per key.
 //!
-//! A drained slab — committed with its reports sent, or discarded against
-//! a shed credit — goes back to the router through the worker
-//! generation's **return ring**, emptied but with its buffer kept, and the
-//! router fills it again instead of allocating a new one. The push never
-//! waits: if the return ring is full the slab is freed instead, which the
-//! ring's sizing rules out in steady state (see `Pipeline::spawn_worker`).
+//! A slab keeps its ring slot from the router's push until the worker
+//! *releases* it: take → apply → commit → send reports → release. The
+//! release leaves the drained slab in its slot, emptied but with its
+//! buffer kept, and the router's next push into that slot takes it back
+//! as its next slab instead of allocating one. So the ring's slots bound
+//! the slab being applied as well as the queued ones, and there is no
+//! second ring for the way back. `Quiesce` and `Shutdown` release an
+//! empty slot.
 //!
 //! The loop body, [`run_supervised`], keeps the crash-recovery contract
-//! from [`crate::supervisor`]: a slab is popped, applied, then
+//! from [`crate::supervisor`]: a slab is taken, applied, then
 //! *committed* — journaled under the shard's recovery lock, with a
 //! checkpoint sealed when due — before any report is sent. The order is
 //! the whole correctness story:
@@ -39,12 +41,12 @@
 //! * reports only ever describe journaled items, so a recovered filter
 //!   (checkpoint + journal replay) is never *behind* the reports the
 //!   caller saw;
-//! * a crash between apply and commit loses exactly the uncommitted
-//!   slab plus whatever slabs sit in the ring — the accounted loss
-//!   window;
+//! * a crash between take and commit loses exactly the slabs that hold a
+//!   ring slot uncommitted — the one being applied and the queued ones,
+//!   at most `ring_slots()` — which is the accounted loss window;
 //! * the commit starts with a generation check, so a worker the router
 //!   has fenced off (e.g. one that hung and later woke) exits without
-//!   journaling, reporting, or sealing anything.
+//!   journaling, reporting, sealing, or releasing anything.
 //!
 //! One lock acquisition per slab keeps the checkpoint machinery off the
 //! per-item path (the QF-L002 requirement); the slab capacity bounds
@@ -53,7 +55,7 @@
 use crate::chaos::ArmedChaos;
 use crate::flight::{self, ShardFlight};
 use crate::pipeline::Fairness;
-use crate::ring::{Consumer, Producer};
+use crate::ring::Consumer;
 use crate::supervisor::ShardRecovery;
 use crate::telemetry;
 use quantile_filter::{QuantileFilter, Report};
@@ -61,8 +63,8 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// A router-filled chunk of routed items, handed to the worker as one
-/// ring slot. Owns its heap buffer; the ring's drop path releases slabs
-/// still queued at teardown.
+/// ring slot. Owns its heap buffer; slabs still in a ring's slots are
+/// freed with the ring.
 #[derive(Debug)]
 pub struct Slab {
     items: Vec<(u64, f64)>,
@@ -71,14 +73,24 @@ pub struct Slab {
 
 impl Slab {
     /// Allocate an empty slab that fills at `capacity` items. Cold by
-    /// contract: the router allocates one only when no drained slab is
-    /// waiting on the return ring (at warm-up, or while the worker holds
-    /// every buffer), never per item.
+    /// contract: the router allocates one only when a push got no
+    /// drained slab back (at warm-up, or into a slot a control message
+    /// held), never per item.
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             items: Vec::with_capacity(capacity),
             capacity,
+        }
+    }
+
+    /// Move the slab out, leaving in its place an empty slab of the same
+    /// capacity that owns no buffer: the router's stand-in while the slab
+    /// is being pushed. Allocates nothing.
+    pub(crate) fn take(&mut self) -> Slab {
+        Slab {
+            items: std::mem::take(&mut self.items),
+            capacity: self.capacity,
         }
     }
 
@@ -235,23 +247,22 @@ fn unnote_shed(fairness: Option<&Arc<Fairness>>, slab: &Slab) {
     }
 }
 
-/// Hand a drained slab back to the router, emptied, for its next fill.
-/// Never waits: if the return ring is full the slab is freed instead.
-fn recycle(returns: &mut Producer<Slab>, mut slab: Slab) {
+/// Release a drained slab's ring slot, leaving the slab in it emptied
+/// for the router's next push there to take back.
+fn release_slab(queue: &mut Consumer<Msg>, mut slab: Slab) {
     slab.clear();
-    let _ = returns.try_push(slab);
+    queue.release(Some(Msg::Slab(slab)));
 }
 
-/// The worker body: pop slab → apply → commit → report → recycle. Runs
+/// The worker body: take slab → apply → commit → report → release. Runs
 /// on a dedicated thread until [`Msg::Shutdown`], until the router
 /// closes the queue's producer side, or until the generation is fenced.
-/// See the module docs for why that order is load-bearing. `returns` is
-/// this generation's own return ring: a fenced worker that wakes up can
-/// only ever push into a ring its successor never reads.
+/// See the module docs for why that order is load-bearing. A fenced
+/// worker returns before its release, so its slot stays occupied in a
+/// ring the router no longer pushes to.
 pub(crate) fn run_supervised(
     shard: usize,
     queue: Consumer<Msg>,
-    mut returns: Producer<Slab>,
     mut filter: QuantileFilter,
     sink: Sender<Event>,
     sup: Supervision,
@@ -261,16 +272,22 @@ pub(crate) fn run_supervised(
     let mut guard = AliveGuard { queue };
     let mut processed = 0u64;
     let mut staged = ReportBuf::new(sup.slab_capacity);
-    // A `None` pop ends the loop: the producer closed, i.e. this
+    // A `None` take ends the loop: the producer closed, i.e. this
     // generation was fenced off (or the pipeline is tearing down
     // without a drain).
-    while let Some(msg) = guard.queue.pop_wait() {
+    while let Some(msg) = guard.queue.take_wait() {
         match msg {
-            Msg::Shutdown => break,
-            Msg::Quiesce => snapshot(shard, sup.generation, &filter, &sink, processed),
+            Msg::Shutdown => {
+                guard.queue.release(None);
+                break;
+            }
+            Msg::Quiesce => {
+                snapshot(shard, sup.generation, &filter, &sink, processed);
+                guard.queue.release(None);
+            }
             Msg::Slab(slab) => {
                 let n = slab.len();
-                // Pops are progress, whether applied or shed — this is
+                // Takes are progress, whether applied or shed — this is
                 // the liveness signal the watchdog reads, and the pop
                 // ordinal clock the chaos plan addresses items by
                 // (ordinals stay per-item: `base + i`).
@@ -289,7 +306,7 @@ pub(crate) fn run_supervised(
                         }
                         inner.shed += n as u64;
                     }
-                    recycle(&mut returns, slab);
+                    release_slab(&mut guard.queue, slab);
                     continue;
                 }
                 staged.buf.clear();
@@ -331,7 +348,7 @@ pub(crate) fn run_supervised(
                         report,
                     });
                 }
-                recycle(&mut returns, slab);
+                release_slab(&mut guard.queue, slab);
             }
         }
     }

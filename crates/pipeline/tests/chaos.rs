@@ -151,11 +151,11 @@ fn per_shard_sequences(shards: usize, reports: &[ReportEvent]) -> Vec<Vec<u64>> 
 
 /// The conservation laws every chaos run must satisfy, per shard and in
 /// total, plus internal consistency of the recovery ledger and the loss
-/// bound: a restart loses at most the ring's slabs plus the slab its
-/// worker was applying, and a quarantine may also discard the slab the
-/// router held.
+/// bound: a restart loses at most the slabs in the ring's slots, the one
+/// its worker was applying included, and a quarantine may also discard
+/// the slab the router held.
 fn assert_conserved(cfg: &PipelineConfig, summary: &PipelineSummary, context: &str) {
-    let restart_bound = ((cfg.ring_slots() + 1) * cfg.slab_capacity) as u64;
+    let restart_bound = (cfg.ring_slots() * cfg.slab_capacity) as u64;
     let quarantine_bound = restart_bound + cfg.slab_capacity as u64;
     assert_eq!(
         summary.offered,
@@ -487,6 +487,113 @@ fn mid_slab_death_counts_the_whole_slab_as_lost() {
     assert_eq!(rec.cause, CrashCause::Panic);
     assert_eq!(rec.lost, slab as u64, "{rec:?}");
     assert!(!rec.quarantined);
+}
+
+/// The loss bound is tight: a worker hung on its first slab, with the
+/// router filling the ring behind it until the watchdog convicts, loses
+/// exactly `ring_slots() × slab_capacity` items. The slab being applied
+/// holds its slot until its commit, so it is one of the `ring_slots()`,
+/// not one more; the router's own slab and the one in its hand survive
+/// to the replacement.
+#[test]
+#[cfg_attr(miri, ignore = "hang detection needs a real-time watchdog deadline")]
+fn hang_with_a_full_ring_loses_exactly_the_ring() {
+    let slab = 8usize;
+    let mut cfg = config(1, 64, BackpressurePolicy::Block);
+    // Fixed slab size so the expected loss is exact regardless of the
+    // matrix's QF_PIPELINE_SLAB.
+    cfg.slab_capacity = slab;
+    // The worker sleeps before applying the first item of slab 1, well
+    // past the watchdog deadline.
+    let plan = ChaosPlan::new().with(Fault::Hang {
+        shard: 0,
+        at_pop: 0,
+        millis: 300,
+    });
+    let mut pipe = match Pipeline::launch_chaos(cfg, sup_config(64), &plan) {
+        Ok(p) => p,
+        Err(e) => panic!("launch: {e}"),
+    };
+    // Ingest until the watchdog convicts. The ring fills with slab 1
+    // (taken, hung) and the slabs queued behind it; then every flush
+    // finds it full and probes the watchdog.
+    let mut key = 0u64;
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while pipe.restarts() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the hung worker was never convicted"
+        );
+        match pipe.ingest(key, 5.0) {
+            Ok(IngestOutcome::Enqueued) => key += 1,
+            other => panic!("ingest {key}: {other:?}"),
+        }
+    }
+    // A little more traffic through the replacement.
+    for _ in 0..(4 * slab) {
+        match pipe.ingest(key, 5.0) {
+            Ok(IngestOutcome::Enqueued) => key += 1,
+            other => panic!("ingest {key}: {other:?}"),
+        }
+    }
+    let summary = match pipe.shutdown() {
+        Ok(s) => s,
+        Err(e) => panic!("shutdown: {e}"),
+    };
+    assert_conserved(&cfg, &summary, "hang with a full ring");
+    assert_eq!(summary.restarts, 1, "{:?}", summary.recoveries);
+    let rec = &summary.recoveries[0];
+    assert_eq!(rec.cause, CrashCause::Hang, "{rec:?}");
+    assert!(!rec.quarantined, "{rec:?}");
+    assert_eq!(
+        rec.lost,
+        (cfg.ring_slots() * slab) as u64,
+        "a full ring loses its slots' slabs, the one being applied included: {rec:?}"
+    );
+    assert_eq!(summary.lost_to_crash, rec.lost);
+    assert_eq!(summary.processed, key - rec.lost);
+}
+
+/// A worker that hangs while a snapshot waits for its barrier is
+/// convicted by the snapshot's own watchdog probes, which come less than
+/// a deadline apart, and the barrier is re-issued to the replacement:
+/// the snapshot returns long before the hang would have ended.
+#[test]
+#[cfg_attr(miri, ignore = "hang detection needs a real-time watchdog deadline")]
+fn snapshot_convicts_a_worker_hung_behind_its_barrier() {
+    let slab = 8usize;
+    let mut cfg = config(1, 64, BackpressurePolicy::Block);
+    cfg.slab_capacity = slab;
+    let plan = ChaosPlan::new().with(Fault::Hang {
+        shard: 0,
+        at_pop: 0,
+        millis: 2_000,
+    });
+    let mut pipe = match Pipeline::launch_chaos(cfg, sup_config(64), &plan) {
+        Ok(p) => p,
+        Err(e) => panic!("launch: {e}"),
+    };
+    // One full slab: the worker takes it and hangs on its first item.
+    for key in 0..slab as u64 {
+        match pipe.ingest(key, 5.0) {
+            Ok(IngestOutcome::Enqueued) => {}
+            other => panic!("ingest {key}: {other:?}"),
+        }
+    }
+    let bytes = match pipe.snapshot() {
+        Ok(b) => b,
+        Err(e) => panic!("snapshot behind a hung worker: {e}"),
+    };
+    assert_eq!(pipe.restarts(), 1, "the hung worker was never convicted");
+    assert!(Pipeline::restore(&bytes, cfg).is_ok());
+    let summary = match pipe.shutdown() {
+        Ok(s) => s,
+        Err(e) => panic!("shutdown: {e}"),
+    };
+    assert_conserved(&cfg, &summary, "snapshot behind a hang");
+    let rec = &summary.recoveries[0];
+    assert_eq!(rec.cause, CrashCause::Hang, "{rec:?}");
+    assert_eq!(rec.lost, slab as u64, "the slab being applied: {rec:?}");
 }
 
 /// A poll hands a partial slab over only when the shard's queue is empty.

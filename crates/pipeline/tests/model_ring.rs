@@ -3,16 +3,20 @@
 //! Runs only under `RUSTFLAGS='--cfg qf_model'` (via `cargo xtask
 //! model`). The ring's contract under concurrency:
 //!
-//! - every successfully pushed value is popped exactly once, in FIFO
+//! - every successfully pushed value is taken exactly once, in FIFO
 //!   order — no lost slots, no duplicated slots;
 //! - payloads are never torn (the model's `RaceCell` race detector
 //!   proves every slot access is ordered by the tail/head handshake);
+//! - a buffer the consumer releases into its slot comes back to the
+//!   producer's next push there, owned by one side at a time, and is
+//!   freed exactly once;
 //! - the park/wake handshake never deadlocks: a consumer that parks is
 //!   always woken by a later push or close.
 //!
-//! Two seeded-bug miniatures pin down *why* the orderings are what
-//! they are: weakening the tail publish to `Relaxed` is a data race,
-//! and dropping the `SeqCst` park/wake fences is a lost wakeup.
+//! Three seeded-bug miniatures pin down *why* the orderings are what
+//! they are: weakening the tail publish or the head release to
+//! `Relaxed` is a data race, and dropping the `SeqCst` park/wake fences
+//! is a lost wakeup.
 #![cfg(qf_model)]
 
 use qf_model::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
@@ -20,6 +24,7 @@ use qf_model::sync::cell::RaceCell;
 use qf_model::sync::thread;
 use qf_model::{try_model, Checker};
 use qf_pipeline::SpscRing;
+use std::sync::atomic::AtomicUsize as TallyWord;
 use std::sync::Arc;
 
 /// Producer pushes 1, 2 into a capacity-2 ring and closes; the
@@ -131,6 +136,109 @@ fn slab_slot_protocol_delivers_each_slab_exactly_once() {
         .expect("every slab must be delivered exactly once, contents intact");
 }
 
+/// A slab buffer stand-in for the round-trip harness. Its contents live
+/// on the heap behind a race-checked cell, like a slab's item buffer, so
+/// the checker sees every touch wherever the handle travels; dropping it
+/// tallies one free for its id.
+struct Buf {
+    id: usize,
+    items: Box<RaceCell<u64>>,
+    /// Frees per buffer id: a plain `std` tally, outside the model's
+    /// schedule, so counting adds no interleavings.
+    // sync: counter — bookkeeping only, read after every thread joined.
+    frees: Arc<[TallyWord; 3]>,
+}
+
+impl Buf {
+    fn new(id: usize, frees: &Arc<[TallyWord; 3]>) -> Self {
+        Self {
+            id,
+            items: Box::new(RaceCell::new(0)),
+            frees: Arc::clone(frees),
+        }
+    }
+}
+
+impl Drop for Buf {
+    fn drop(&mut self) {
+        self.frees[self.id - 1].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The slab's round trip: the producer fills and pushes three buffers
+/// through a capacity-2 ring, allocating a new one whenever a push gets
+/// nothing back; the consumer takes each one, checks and clears it, and
+/// releases it back into its slot. The third push must wait for the
+/// first release and get back exactly the first buffer, cleared. The
+/// race checker proves each buffer is owned by one side at a time (the
+/// producer's fill, the consumer's check and clear, and the producer's
+/// re-read are ordered by the `tail` and `head` handshakes), and the
+/// tallies prove every buffer is freed exactly once: none leaked in a
+/// slot, none dropped twice.
+#[test]
+fn slab_round_trip_returns_the_first_buffer_to_the_third_push() {
+    Checker::new()
+        .preemption_bound(2)
+        .check(|| {
+            let frees: Arc<[TallyWord; 3]> = Arc::new(Default::default());
+            let (mut tx, mut rx) = SpscRing::with_capacity(2).split();
+            let f2 = Arc::clone(&frees);
+            let producer = thread::spawn(move || {
+                let mut buf = Buf::new(1, &f2);
+                for id in 1..=3 {
+                    // SAFETY: the producer owns `buf`: it is fresh, or a
+                    // push took it back after an Acquire load of `head`
+                    // that synchronized with the consumer's release.
+                    unsafe { buf.items.with_mut(|p| *p = 10 * id as u64) };
+                    buf = match tx.push_blocking(buf).expect("consumer alive") {
+                        Some(back) => {
+                            assert_eq!(id, 3, "push {id} got a buffer back");
+                            assert_eq!(back.id, 1, "the third push got buffer {}", back.id);
+                            // SAFETY: as above — released, then taken
+                            // back through the Acquire load of `head`.
+                            let left = unsafe { back.items.with(|p| *p) };
+                            assert_eq!(left, 0, "the buffer came back uncleared");
+                            back
+                        }
+                        None => {
+                            assert!(id < 3, "the third push got nothing back");
+                            Buf::new(id + 1, &f2)
+                        }
+                    };
+                }
+                tx.close();
+                buf
+            });
+            let mut seen = Vec::new();
+            while let Some(buf) = rx.take_wait() {
+                // SAFETY: the take's Acquire load of `tail` synchronized
+                // with the push that published this buffer.
+                let got = unsafe { buf.items.with(|p| *p) };
+                assert_eq!(got, 10 * buf.id as u64, "torn buffer {}", buf.id);
+                // SAFETY: the slot is still the consumer's until the
+                // release below.
+                unsafe { buf.items.with_mut(|p| *p = 0) };
+                seen.push(buf.id);
+                rx.release(Some(buf));
+            }
+            let kept = producer.join().unwrap();
+            assert_eq!(seen, vec![1, 2, 3], "lost, duplicated, or reordered buffer");
+            assert_eq!(kept.id, 1);
+            drop(kept);
+            drop(rx);
+            for (i, freed) in frees.iter().enumerate() {
+                assert_eq!(
+                    freed.load(Ordering::Relaxed),
+                    1,
+                    "buffer {} was freed {} times",
+                    i + 1,
+                    freed.load(Ordering::Relaxed)
+                );
+            }
+        })
+        .expect("every buffer makes its round trip, owned by one side at a time");
+}
+
 /// `PushError::Disconnected` mid-slab: a dead consumer hands the
 /// in-flight slab *back to the producer intact* — this returned-value
 /// contract is what lets the router count (or re-flush) every item of a
@@ -147,7 +255,7 @@ fn disconnected_push_hands_the_slab_back_intact() {
             });
             let slab = vec![(7u64, 7.0f64), (8, 8.0)];
             match tx.try_push(slab) {
-                Ok(()) => {}
+                Ok(_) => {}
                 Err((e, returned)) => {
                     assert!(matches!(e, qf_pipeline::PushError::Disconnected));
                     assert_eq!(
@@ -280,6 +388,64 @@ fn seeded_twin_slab_through_ring_verified() {
         .expect("slab handoff through the ring must verify race-free");
 }
 
+/// Seeded-bug self-test for the way back: the consumer leaves a buffer
+/// in its slot and releases the slot with `head` stored `Relaxed`. The
+/// producer's Acquire load of `head` then no longer synchronizes with
+/// the consumer's write, so the producer's read of the buffer it takes
+/// back races with it — the checker must say so.
+///
+/// This miniature is the justification for the `Release` store in
+/// `release_slot`: weaken it and the round-trip harness above fails
+/// exactly like this.
+#[test]
+fn seeded_relaxed_head_release_caught() {
+    let v = try_model(|| {
+        let slot = Arc::new(RaceCell::new(0u64));
+        let head = Arc::new(AtomicUsize::new(0));
+        let (s2, h2) = (Arc::clone(&slot), Arc::clone(&head));
+        let consumer = thread::spawn(move || {
+            // SAFETY: (model) intentionally unsynchronized — the model
+            // race checker is the subject under test here.
+            unsafe { s2.with_mut(|p| *p = 7) };
+            h2.store(1, Ordering::Relaxed); // BUG under test: not Release
+        });
+        if head.load(Ordering::Acquire) == 1 {
+            // SAFETY: (model) claimed ordered by the acquire load above,
+            // which the seeded relaxed release fails to provide.
+            let got = unsafe { slot.with(|p| *p) };
+            assert_eq!(got, 7);
+        }
+        consumer.join().unwrap();
+    });
+    let v = v.expect_err("relaxed head release must be reported as a race");
+    assert!(v.message.contains("data race"), "{}", v.message);
+}
+
+/// The fixed twin: `Release` release, `Acquire` observe — the buffer the
+/// producer takes back is race-free and holds what the consumer left.
+#[test]
+fn seeded_twin_release_head_verified() {
+    Checker::new()
+        .check(|| {
+            let slot = Arc::new(RaceCell::new(0u64));
+            let head = Arc::new(AtomicUsize::new(0));
+            let (s2, h2) = (Arc::clone(&slot), Arc::clone(&head));
+            let consumer = thread::spawn(move || {
+                // SAFETY: the Release store below publishes this write;
+                // the producer only looks after its Acquire load sees it.
+                unsafe { s2.with_mut(|p| *p = 7) };
+                h2.store(1, Ordering::Release);
+            });
+            if head.load(Ordering::Acquire) == 1 {
+                // SAFETY: Acquire synchronized with the Release release.
+                let got = unsafe { slot.with(|p| *p) };
+                assert_eq!(got, 7);
+            }
+            consumer.join().unwrap();
+        })
+        .expect("release/acquire head handshake must verify clean");
+}
+
 /// Seeded-bug self-test: the park/wake handshake with both `SeqCst`
 /// fences dropped. The producer can then check `parked` before the
 /// consumer's flag store becomes visible *and* the consumer can check
@@ -314,7 +480,7 @@ fn seeded_unfenced_park_handshake_deadlocks() {
 }
 
 /// The fixed twin: both fences restored (the shape `wake_consumer` and
-/// `pop_wait` actually use) — no interleaving loses the wakeup.
+/// `take_wait` actually use) — no interleaving loses the wakeup.
 #[test]
 fn seeded_twin_fenced_park_handshake_verified() {
     Checker::new()

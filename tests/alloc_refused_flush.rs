@@ -2,10 +2,11 @@
 //!
 //! Under `DropNewest`, a slab that fills while the shard's queue is full
 //! comes back to the router, which drops the incoming item and keeps the
-//! rest buffered. The empty slab the flush had put in its place is kept
-//! as a spare for the next flush. Freeing it instead would cost one
-//! allocation and one free of a whole slab per dropped item, for as long
-//! as the overload lasts.
+//! rest buffered. While the flush holds the slab, an empty stand-in that
+//! owns no buffer takes its place, and the refused slab simply goes
+//! back. Allocating a replacement slab for every flush instead would cost
+//! one allocation and one free of a whole slab per dropped item, for as
+//! long as the overload lasts.
 //!
 //! The counting allocator sees every thread, so this binary holds
 //! exactly one test.
@@ -68,8 +69,10 @@ fn dropped_ingests_allocate_nothing() {
         Ok(p) => p,
         Err(e) => panic!("launch: {e}"),
     };
-    // One full slab goes to the worker, which pops it and hangs on its
-    // first item; wait for that pop, so no slot frees up later.
+    // One full slab goes to the worker, which takes it and hangs on its
+    // first item; wait for that take. The slab keeps its slot until the
+    // worker releases it after the hang, so no slot frees up inside the
+    // window.
     let mut next = 0u64;
     while next < SLAB as u64 {
         assert_eq!(ingest(&mut pipe, next), IngestOutcome::Enqueued);
@@ -83,8 +86,8 @@ fn dropped_ingests_allocate_nothing() {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    // Fill the queue and the router slab up to the first drop. That drop
-    // may allocate the slab that becomes the spare.
+    // Fill the queue and the router slab up to the first drop. Each push
+    // into a slot that never held a slab allocates the router's next one.
     loop {
         let outcome = ingest(&mut pipe, next);
         next += 1;
