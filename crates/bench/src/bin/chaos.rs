@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p qf-bench --release --bin chaos -- \
 //!     [--tiny] [--out PATH] [--items N] [--queue N] [--slab N] \
-//!     [--crashes N] [--metrics-out PREFIX] [--no-metrics]
+//!     [--crashes N]
 //! ```
 //!
 //! Streams a Zipf trace through a 4-shard pipeline under repeated
@@ -13,12 +13,6 @@
 //!
 //! Writes `BENCH_chaos.json` (schema documented on
 //! `qf_bench::chaos::render_json`). `--tiny` is the CI smoke mode.
-//!
-//! Like the `detect` bin, an end-of-run telemetry snapshot lands at
-//! `<prefix>.metrics.{json,prom}` (default prefix `results/bench-chaos`,
-//! override with `--metrics-out`, suppress with `--no-metrics`); the
-//! supervision counters (restarts, replays, checkpoint seals) are only
-//! live under `--features telemetry`.
 
 use qf_bench::chaos::{measure_recovery, render_json, ChaosBenchReport};
 use qf_bench::pipeline::detect_nproc;
@@ -33,7 +27,7 @@ const RECOVERY_SHARDS: usize = 4;
 fn usage() -> ! {
     eprintln!(
         "usage: chaos [--tiny] [--out PATH] [--items N] [--queue N] [--slab N] \
-         [--crashes N] [--metrics-out PREFIX] [--no-metrics]"
+         [--crashes N]"
     );
     std::process::exit(2)
 }
@@ -46,8 +40,6 @@ fn main() {
     let mut queue_capacity = 1024usize;
     let mut slab_capacity = 256usize;
     let mut crashes: Option<u32> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut no_metrics = false;
 
     let mut i = 0;
     while i < argv.len() {
@@ -74,11 +66,6 @@ fn main() {
                 crashes = Some(val(i).parse().unwrap_or_else(|_| usage()));
                 i += 1;
             }
-            "--metrics-out" => {
-                metrics_out = Some(val(i));
-                i += 1;
-            }
-            "--no-metrics" => no_metrics = true,
             _ => usage(),
         }
         i += 1;
@@ -161,16 +148,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {out}");
-
-    if !no_metrics {
-        match qf_bench::metrics::flush_global_sidecars(metrics_out, "results/bench-chaos") {
-            Ok((json_path, prom_path)) => {
-                println!("wrote {} and {}", json_path.display(), prom_path.display());
-            }
-            Err(e) => {
-                eprintln!("failed to write telemetry sidecars: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }

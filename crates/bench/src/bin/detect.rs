@@ -14,10 +14,9 @@
 //!
 //! Every run emits telemetry sidecars `<prefix>.metrics.json` and
 //! `<prefix>.metrics.prom` (default prefix `results/detect-<scheme>`;
-//! override with `--metrics-out`, suppress with `--no-metrics`). The
-//! hot-path counters inside are non-zero only when built with
-//! `--features telemetry`; sampled insert-latency quantiles are always
-//! recorded.
+//! override with `--metrics-out`, suppress with `--no-metrics`): the
+//! sampled insert-latency histogram plus the run's meta (detector,
+//! items, seconds, Mops, memory, sample rate).
 
 use qf_baselines::{
     ExactDetector, HistSketchDetector, NaiveDetector, OutstandingDetector, QfDetector,

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p qf-bench --release --bin pipeline -- \
 //!     [--tiny] [--out PATH] [--repeats N] [--items N] [--queue N] \
-//!     [--slab N] [--metrics-out PREFIX] [--no-metrics]
+//!     [--slab N]
 //! ```
 //!
 //! For each shard count in {1, 2, 4, 8} and each backpressure policy
@@ -32,12 +32,6 @@
 //! placement is left to the OS scheduler — each worker is its own OS
 //! thread, and with `nproc >= shards + 1` they spread onto distinct
 //! cores; the toolchain has no affinity syscall to pin harder.
-//!
-//! Like the `detect` bin, an end-of-run telemetry snapshot lands at
-//! `<prefix>.metrics.{json,prom}` (default prefix
-//! `results/bench-pipeline`, override with `--metrics-out`, suppress
-//! with `--no-metrics`). The counters are only live under
-//! `--features telemetry`; without it the sidecars record zeros.
 
 use qf_bench::pipeline::{
     detect_nproc, measure_pipeline, render_json, PipelineBenchReport, WorkloadMeta,
@@ -58,7 +52,7 @@ const SHARD_MEMORY: usize = 32 * 1024;
 fn usage() -> ! {
     eprintln!(
         "usage: pipeline [--tiny] [--out PATH] [--repeats N] [--items N] [--queue N] \
-         [--slab N] [--metrics-out PREFIX] [--no-metrics]"
+         [--slab N]"
     );
     std::process::exit(2)
 }
@@ -71,8 +65,6 @@ fn main() {
     let mut items: Option<usize> = None;
     let mut queue_capacity = 1024usize;
     let mut slab_capacity = 256usize;
-    let mut metrics_out: Option<String> = None;
-    let mut no_metrics = false;
 
     let mut i = 0;
     while i < argv.len() {
@@ -99,11 +91,6 @@ fn main() {
                 slab_capacity = val(i).parse().unwrap_or_else(|_| usage());
                 i += 1;
             }
-            "--metrics-out" => {
-                metrics_out = Some(val(i));
-                i += 1;
-            }
-            "--no-metrics" => no_metrics = true,
             _ => usage(),
         }
         i += 1;
@@ -196,16 +183,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {out}");
-
-    if !no_metrics {
-        match qf_bench::metrics::flush_global_sidecars(metrics_out, "results/bench-pipeline") {
-            Ok((json_path, prom_path)) => {
-                println!("wrote {} and {}", json_path.display(), prom_path.display());
-            }
-            Err(e) => {
-                eprintln!("failed to write telemetry sidecars: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }

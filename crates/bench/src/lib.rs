@@ -6,5 +6,4 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chaos;
-pub mod metrics;
 pub mod pipeline;

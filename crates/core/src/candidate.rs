@@ -590,7 +590,6 @@ impl CandidatePart {
         debug_assert!(new_fp != 0, "fingerprint 0 marks a free slot");
         self.find_slot(bucket, old_fp).map(|i| {
             let idx = bucket * self.bucket_len + i;
-            crate::telemetry::eviction();
             crate::trace::eviction(self.fps[idx], i64::from(self.qws[idx]));
             let old = i64::from(self.qws[idx]);
             self.fps[idx] = new_fp;

@@ -200,7 +200,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
     #[inline]
     pub fn insert<K: StreamKey + ?Sized>(&mut self, key: &K, value: f64) -> Option<Report> {
         if !value.is_finite() {
-            crate::telemetry::dropped_non_finite();
             return None;
         }
         let (threshold, report_at, above) = (self.criteria.threshold(), self.report_at, self.above);
@@ -218,7 +217,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
         criteria: &Criteria,
     ) -> Option<Report> {
         if !value.is_finite() {
-            crate::telemetry::dropped_non_finite();
             return None;
         }
         self.insert_finite(
@@ -239,7 +237,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
         value: f64,
     ) -> Result<Option<Report>, QfError> {
         if !value.is_finite() {
-            crate::telemetry::rejected_non_finite();
             return Err(QfError::NonFiniteValue { value });
         }
         let (threshold, report_at, above) = (self.criteria.threshold(), self.report_at, self.above);
@@ -255,7 +252,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
         criteria: &Criteria,
     ) -> Result<Option<Report>, QfError> {
         if !value.is_finite() {
-            crate::telemetry::rejected_non_finite();
             return Err(QfError::NonFiniteValue { value });
         }
         Ok(self.insert_finite(
@@ -279,7 +275,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
         report_at: f64,
         above: SplitWeight,
     ) -> Option<Report> {
-        crate::telemetry::insert();
         let weight = if value > value_threshold {
             above
         } else {
@@ -304,11 +299,9 @@ impl<S: WeightSketch> QuantileFilter<S> {
         match self.candidate.offer_or_min(bucket, fp, delta) {
             OfferOutcome::Updated { qweight } => {
                 self.stats.candidate_hits += 1;
-                crate::telemetry::candidate_hit();
                 if Self::meets(report_at, qweight) {
                     self.candidate.reset_entry(bucket, fp);
                     self.stats.reports += 1;
-                    crate::telemetry::report_candidate();
                     crate::trace::report_candidate(qweight);
                     return Some(Report {
                         source: ReportSource::Candidate,
@@ -319,13 +312,11 @@ impl<S: WeightSketch> QuantileFilter<S> {
             }
             OfferOutcome::Inserted => {
                 self.stats.candidate_inserts += 1;
-                crate::telemetry::candidate_insert();
                 // A single item can already be outstanding when ε = 0 and
                 // its weight crosses the (then zero-or-negative) threshold.
                 if Self::meets(report_at, delta) {
                     self.candidate.reset_entry(bucket, fp);
                     self.stats.reports += 1;
-                    crate::telemetry::report_candidate();
                     crate::trace::report_candidate(delta);
                     return Some(Report {
                         source: ReportSource::Candidate,
@@ -336,7 +327,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
             }
             OfferOutcome::BucketFull { min_fp, min_qw } => {
                 self.stats.vague_visits += 1;
-                crate::telemetry::bucket_full();
                 let vk = VagueKey::new(bucket, fp);
                 let lanes = self.vague.prepare_lanes(vk);
                 let est = self.vague.add_and_estimate(vk, &lanes, delta);
@@ -346,7 +336,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
                     // recomputed one.
                     self.vague.fetch_remove(vk, &lanes, est);
                     self.stats.reports += 1;
-                    crate::telemetry::report_vague();
                     crate::trace::report_vague(est);
                     return Some(Report {
                         source: ReportSource::Vague,
@@ -356,7 +345,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
                 // Candidate election (Algorithm 2 lines 14–17), against the
                 // ⟨min_fp, min_qw⟩ entry the offer walk already found.
                 if self.strategy.should_replace(est, min_qw, &mut self.rng) {
-                    crate::telemetry::election();
                     crate::trace::election_win(est, min_qw);
                     // Evicted entry's Qweight moves into the vague part
                     // under its own composite key... The challenger's
@@ -431,7 +419,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
             // over the chunk. Rounder draws happen here, in item order.
             for (j, (key, value)) in chunk.iter().enumerate() {
                 if value.is_finite() {
-                    crate::telemetry::insert();
                     let hk = self.candidate.coords_of(key);
                     self.candidate.prefetch(hk.bucket);
                     let weight = if *value > value_threshold {
@@ -443,7 +430,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
                     deltas[j] = self.rounder.round_split(weight);
                     live[j] = true;
                 } else {
-                    crate::telemetry::dropped_non_finite();
                     live[j] = false;
                 }
             }
@@ -463,7 +449,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
     /// Query a key's current Qweight: candidate part first, then the vague
     /// estimate (§III-B query operation).
     pub fn query<K: StreamKey + ?Sized>(&self, key: &K) -> i64 {
-        crate::telemetry::query();
         let HashedKey { bucket, fp } = self.candidate.coords_of(key);
         if let Some(qw) = self.candidate.get(bucket, fp) {
             return qw;
@@ -474,7 +459,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
     /// Delete a key's Qweight (§III-B delete operation; also the first step
     /// of a per-key criteria change, §III-C). Returns the removed Qweight.
     pub fn delete<K: StreamKey + ?Sized>(&mut self, key: &K) -> i64 {
-        crate::telemetry::delete();
         let HashedKey { bucket, fp } = self.candidate.coords_of(key);
         if let Some(old) = self.candidate.reset_entry(bucket, fp) {
             return old;

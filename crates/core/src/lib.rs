@@ -69,7 +69,6 @@ pub mod qweight;
 pub mod snapshot;
 pub mod strategy;
 pub mod stream;
-pub(crate) mod telemetry;
 pub(crate) mod trace;
 pub mod vague;
 

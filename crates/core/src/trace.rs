@@ -1,21 +1,22 @@
 //! Feature-gated flight-recorder trace hooks for the filter hot path.
 //!
-//! Same contract as [`crate::telemetry`] but for *event trails* instead
-//! of aggregate counters: with the `trace` cargo feature **off** (the
-//! default) every function here is an empty `#[inline(always)]` body and
-//! each call site compiles to nothing, so the untraced filter is
-//! bit-identical to the pre-trace crate. With the feature **on**, each
-//! hook is one thread-local lookup plus (if a recorder is installed —
-//! the pipeline worker installs one per shard via [`qf_trace::tls`]) a
-//! wait-free ring-buffer write. Threads without a recorder drop events
-//! after the lookup, so single-threaded eval runs stay cheap.
+//! They record *event trails*, not aggregate counts: with the `trace`
+//! cargo feature **off** (the default) every function here is an empty
+//! `#[inline(always)]` body and each call site compiles to nothing, so
+//! the untraced filter is bit-identical to the pre-trace crate. With the
+//! feature **on**, each hook is one thread-local lookup plus (if a
+//! recorder is installed — the pipeline worker installs one per shard
+//! via [`qf_trace::tls`]) a wait-free ring-buffer write. Threads without
+//! a recorder drop events after the lookup, so single-threaded eval runs
+//! stay cheap.
 //!
 //! The hooks cover the control-flow joints worth replaying after a
 //! crash: epoch rollovers, candidate elections (both verdicts),
-//! evictions, and fired reports. Pure counters (hits, inserts,
-//! bucket-full) stay telemetry-only — a flight recorder records
-//! *decisions*, not traffic volume. Nothing here reads a clock: events
-//! are ordered by qf-trace's global sequence counter (QF-L002).
+//! evictions, and fired reports. Pure counts (hits, inserts,
+//! bucket-full) live in [`FilterStats`](crate::filter::FilterStats) — a
+//! flight recorder records *decisions*, not traffic volume. Nothing here
+//! reads a clock: events are ordered by qf-trace's global sequence
+//! counter (QF-L002).
 
 #[cfg(feature = "trace")]
 mod hooks {

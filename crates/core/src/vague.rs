@@ -82,7 +82,6 @@ impl<S: WeightSketch> VaguePart<S> {
     /// Add `delta` under the composite key.
     #[inline(always)]
     pub fn add(&mut self, key: VagueKey, delta: i64) {
-        crate::telemetry::vague_add();
         self.sketch.add(&key, delta);
     }
 
@@ -96,7 +95,6 @@ impl<S: WeightSketch> VaguePart<S> {
     /// the "remove from vague part" half of the candidate exchange.
     #[inline(always)]
     pub fn remove_estimate(&mut self, key: VagueKey) -> i64 {
-        crate::telemetry::vague_remove();
         self.sketch.remove_estimate(&key)
     }
 
@@ -111,7 +109,6 @@ impl<S: WeightSketch> VaguePart<S> {
     /// sketch rows (equivalent to [`Self::add`] then [`Self::estimate`]).
     #[inline(always)]
     pub fn add_and_estimate(&mut self, key: VagueKey, lanes: &RowLanes, delta: i64) -> i64 {
-        crate::telemetry::vague_add();
         self.sketch.add_and_estimate(&key, lanes, delta)
     }
 
@@ -119,7 +116,6 @@ impl<S: WeightSketch> VaguePart<S> {
     /// [`Self::add_and_estimate`]) without re-deriving it.
     #[inline(always)]
     pub fn fetch_remove(&mut self, key: VagueKey, lanes: &RowLanes, estimate: i64) -> i64 {
-        crate::telemetry::vague_remove();
         self.sketch.fetch_remove(&key, lanes, estimate)
     }
 

@@ -16,12 +16,11 @@
 //! 3. **Per-run isolation.** The global registry is process-wide and
 //!    cumulative; this runner snapshots it before the loop and returns
 //!    `after.delta_since(&before)`, so the caller sees only this run's
-//!    events even when several runs share the process.
+//!    samples even when several runs share the process.
 //!
-//! The hot-path counters inside the returned snapshot are non-zero only
-//! when the stack is compiled with the `telemetry` cargo feature; the
-//! latency histogram and meta annotations are recorded here in the harness
-//! and therefore present in every build.
+//! The snapshot carries the latency histogram plus the run's meta
+//! (detector, items, seconds, Mops, memory, sample rate). A filter's
+//! per-path counts are its `FilterStats`, not registry entries.
 
 use crate::runner::RunResult;
 use qf_baselines::OutstandingDetector;
@@ -137,14 +136,6 @@ pub fn run_detector_telemetered(
         .with_meta(
             "latency_sample_rate",
             format!("1/{}", 1usize << config.sample_shift),
-        )
-        .with_meta(
-            "hotpath_counters",
-            if cfg!(feature = "telemetry") {
-                "enabled"
-            } else {
-                "compiled-out"
-            },
         );
 
     let sidecars = match reporter.as_mut() {
@@ -251,26 +242,5 @@ mod tests {
         assert!(prom.contains("qf_insert_latency_ns_bucket{le=\"+Inf\"}"));
         let _ = fs::remove_file(json_path);
         let _ = fs::remove_file(prom_path);
-    }
-
-    #[test]
-    fn metrics_meta_records_build_mode() {
-        let _g = lock_registry();
-        let items = items_with_one_hot_key();
-        let mut det = QfDetector::paper_default(crit(), 64 * 1024, 4);
-        let tele = run_detector_telemetered(&mut det, &items, &TelemetryConfig::default()).unwrap();
-        let mode = tele
-            .metrics
-            .meta
-            .iter()
-            .find(|(k, _)| k == "hotpath_counters")
-            .map(|(_, v)| v.as_str());
-        // The counter delta agrees with the advertised mode.
-        let inserts = tele.metrics.counter("qf_filter_inserts_total").unwrap();
-        if mode == Some("enabled") {
-            assert!(inserts >= items.len() as u64);
-        } else {
-            assert_eq!(inserts, 0);
-        }
     }
 }

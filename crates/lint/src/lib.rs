@@ -10,9 +10,6 @@
 //! * **`QF-L002` hot-path hygiene** — no allocation or clock reads in the
 //!   per-item modules (`filter.rs`, `count_sketch.rs`, `counter.rs`)
 //!   outside cold constructors/codecs.
-//! * **`QF-L003` telemetry pairing** — every item-level
-//!   `#[cfg(feature = "telemetry")]` has a compiled-out twin, so the
-//!   default build never loses a symbol.
 //! * **`QF-L004` saturating counters** — sketch/candidate counter fields
 //!   only move through saturating/clamping arithmetic (§III-B's
 //!   overflow-reversal guard).
@@ -20,8 +17,10 @@
 //!   snapshot encoder sources must match, and must be re-blessed together
 //!   with a `SNAPSHOT_VERSION` bump whenever the encoding changes.
 //! * **`QF-L006` trace pairing** — every item-level
-//!   `#[cfg(feature = "trace")]` has a compiled-out twin, so the
-//!   flight-recorder build and the default build expose the same surface.
+//!   `#[cfg(feature = "trace")]` has a `#[cfg(not(feature = "trace"))]`
+//!   twin in the same file, so the flight-recorder build and the default
+//!   build expose the same surface and the default build never loses a
+//!   symbol. (`QF-L003`, the same check for a retired feature, is gone.)
 //! * **`QF-L007` atomics discipline** — every atomic field/static
 //!   declares its protocol with a `// sync:` annotation (`counter`,
 //!   `release-acquire`, `guarded-by <word>`, `seqcst-handshake`), and
@@ -84,7 +83,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     for file in &files {
         rules::rule_panic_free(file, &mut diagnostics);
         rules::rule_hot_path(file, &mut diagnostics);
-        rules::rule_telemetry_pairing(file, &mut diagnostics);
         rules::rule_trace_pairing(file, &mut diagnostics);
         rules::rule_counter_arithmetic(file, &mut diagnostics);
     }
@@ -262,20 +260,6 @@ pub fn self_test() -> Result<(), Vec<String>> {
         "sketch/src/counter.rs",
         "fn tick(&mut self) {\n    let t = std::time::Instant::now();\n}\n",
         true,
-    );
-    case(
-        "L003 seeded unpaired telemetry gate",
-        rules::rule_telemetry_pairing,
-        "fake/src/lib.rs",
-        "#[cfg(feature = \"telemetry\")]\nmod hooks {\n    fn go() {}\n}\n",
-        true,
-    );
-    case(
-        "L003 paired gate stays legal",
-        rules::rule_telemetry_pairing,
-        "fake/src/lib.rs",
-        "#[cfg(feature = \"telemetry\")]\nmod hooks {\n}\n#[cfg(not(feature = \"telemetry\"))]\nmod hooks {\n}\n",
-        false,
     );
     case(
         "L006 seeded unpaired trace gate",

@@ -1,10 +1,10 @@
-//! The seven workspace rules.
+//! The six workspace rules (`QF-L003`, a cfg-pairing rule for a feature
+//! the workspace no longer has, is retired; its id is not reused).
 //!
 //! | id | rule |
 //! |---|---|
 //! | `QF-L001` | no `unwrap()`/`expect()`/`panic!` family in non-test lib code; explicit `panic!`/`unreachable!` allowed only in functions documenting `# Panics` |
 //! | `QF-L002` | no allocation or `std::time` in hot-path modules outside the cold-function allowlist |
-//! | `QF-L003` | every item-level `#[cfg(feature = "telemetry")]` has a `#[cfg(not(feature = "telemetry"))]` fallback in the same file |
 //! | `QF-L004` | sketch/candidate counter fields are only mutated through saturating/clamping arithmetic |
 //! | `QF-L005` | the snapshot wire-format fingerprint matches the committed record, and `SNAPSHOT_VERSION` was bumped when it changed |
 //! | `QF-L006` | every item-level `#[cfg(feature = "trace")]` has a `#[cfg(not(feature = "trace"))]` twin in the same file, so the trace-off build compiles to the identical surface |
@@ -19,8 +19,8 @@ use crate::Diagnostic;
 use std::fmt;
 
 /// Path suffixes of the paper's per-item hot path (rule `QF-L002`).
-/// Crate-qualified so that e.g. qf-telemetry's unrelated `counter.rs` is
-/// not swept in by a bare file-name match. The one-pass insert rewrite
+/// Crate-qualified so that an unrelated file of the same name in another
+/// crate is not swept in by a bare file-name match. The one-pass insert rewrite
 /// spread the hot path across the candidate walk, the vague-part fused
 /// ops, the CMS ablation twin, and the lane precomputation; the live
 /// pipeline added the multi-criteria insert path and the SPSC queue /
@@ -248,27 +248,15 @@ pub fn rule_hot_path(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `QF-L003`: telemetry hooks always have a compiled-out twin.
-///
-/// An item-level `#[cfg(feature = "telemetry")]` without a matching
-/// `#[cfg(not(feature = "telemetry"))]` item in the same file means the
-/// default build would lose the symbol (or silently change behavior).
-/// Statement-level gates inside function bodies are self-contained and
-/// skipped.
-pub fn rule_telemetry_pairing(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    rule_feature_pairing(file, out, "QF-L003", "telemetry");
-}
-
 /// `QF-L006`: trace hooks always have a compiled-out twin.
 ///
-/// Same contract as `QF-L003`, for the flight-recorder feature: the
-/// trace-off build must compile to the identical API surface, with every
-/// emit point vanishing rather than dangling. An item-level
-/// `#[cfg(feature = "trace")]` therefore needs its
-/// `#[cfg(not(feature = "trace"))]` stub twin in the same file.
-/// Statement-level gates (including `#[cfg(any(feature = "telemetry",
-/// feature = "trace"))]` unions, whose attribute text differs) are
-/// self-contained and out of scope.
+/// An item-level `#[cfg(feature = "trace")]` without a matching
+/// `#[cfg(not(feature = "trace"))]` item in the same file means the
+/// default build would lose the symbol (or silently change behavior):
+/// the trace-off build must compile to the identical API surface, with
+/// every emit point vanishing rather than dangling. Statement-level
+/// gates inside function bodies (including `cfg(any(..))` unions, whose
+/// attribute text differs) are self-contained and out of scope.
 pub fn rule_trace_pairing(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     rule_feature_pairing(file, out, "QF-L006", "trace");
 }
@@ -1024,21 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_gate_requires_fallback() {
-        let bad = "#[cfg(feature = \"telemetry\")]\nfn hook() {\n    record();\n}\n";
-        let d = run(rule_telemetry_pairing, "fake/src/lib.rs", bad);
-        assert_eq!(d.len(), 1);
-        let ok = "#[cfg(feature = \"telemetry\")]\nfn hook() {\n    record();\n}\n#[cfg(not(feature = \"telemetry\"))]\nfn hook() {}\n";
-        assert!(run(rule_telemetry_pairing, "fake/src/lib.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn statement_level_telemetry_gate_is_skipped() {
-        let src = "fn add(&mut self) {\n    #[cfg(feature = \"telemetry\")]\n    let before = cell.to_i64();\n    work();\n}\n";
-        assert!(run(rule_telemetry_pairing, "fake/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
     fn trace_gate_requires_twin() {
         let bad = "#[cfg(feature = \"trace\")]\nmod imp {\n    pub fn emit() {}\n}\n";
         let d = run(rule_trace_pairing, "pipeline/src/flight.rs", bad);
@@ -1049,12 +1022,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_telemetry_pairing_do_not_cross_match() {
-        // A telemetry fallback must not satisfy a trace gate (and the
-        // union attribute is statement-level territory, not this rule's).
-        let src = "#[cfg(feature = \"trace\")]\nfn hook() {}\n#[cfg(not(feature = \"telemetry\"))]\nfn hook() {}\n";
+    fn statement_level_trace_gate_is_skipped() {
+        let src = "fn add(&mut self) {\n    #[cfg(feature = \"trace\")]\n    let before = cell.to_i64();\n    work();\n}\n";
+        assert!(run(rule_trace_pairing, "fake/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn another_features_fallback_does_not_pair_a_trace_gate() {
+        let src = "#[cfg(feature = \"trace\")]\nfn hook() {}\n#[cfg(not(feature = \"strict-invariants\"))]\nfn hook() {}\n";
         assert_eq!(run(rule_trace_pairing, "fake/src/lib.rs", src).len(), 1);
-        assert!(run(rule_telemetry_pairing, "fake/src/lib.rs", src).is_empty());
     }
 
     #[test]

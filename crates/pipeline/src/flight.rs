@@ -11,8 +11,8 @@
 //! With the `trace` cargo feature **off** (the default) `ShardFlight` is
 //! a zero-sized stub and every method is an empty `#[inline(always)]`
 //! body, so the untraced pipeline is bit-identical to the pre-trace
-//! build — the same contract as [`crate::telemetry`]. The lint rule
-//! QF-L006 holds this file to the cfg-pairing discipline.
+//! build. The lint rule QF-L006 holds this file to the cfg-pairing
+//! discipline.
 
 #[cfg(feature = "trace")]
 mod imp {

@@ -97,12 +97,11 @@ pub mod pipeline;
 pub mod ring;
 pub mod snapshot;
 pub mod supervisor;
-mod telemetry;
 pub mod worker;
 
 pub use chaos::{ChaosPlan, Fault};
 pub use flight::ShardFlight;
-pub use health::{OpsView, ShardHealth};
+pub use health::{OpsView, ShardCounts, ShardHealth};
 pub use pipeline::{
     BackpressurePolicy, IngestOutcome, Pipeline, PipelineConfig, PipelineSummary, ReportEvent,
     ShardSummary,

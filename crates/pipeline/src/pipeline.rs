@@ -77,13 +77,10 @@
 
 use crate::chaos::{ArmedChaos, ChaosPlan};
 use crate::flight::ShardFlight;
-use crate::health::{OpsView, ShardBoard};
+use crate::health::{OpsView, ShardBoard, ShardView};
 use crate::ring::{Producer, PushError, SpscRing};
 use crate::snapshot::{open_shards, seal_shards};
-use crate::supervisor::{
-    CrashCause, RecoveredBase, RecoveryRecord, ShardRecovery, ShardState, SupervisorConfig,
-};
-use crate::telemetry;
+use crate::supervisor::{CrashCause, RecoveryRecord, ShardRecovery, ShardState, SupervisorConfig};
 use crate::worker::{run_supervised, Event, Msg, Slab, Supervision};
 use crate::{shard_of, PipelineError};
 use quantile_filter::{Criteria, QuantileFilter, QuantileFilterBuilder, Report};
@@ -113,10 +110,10 @@ pub enum BackpressurePolicy {
     /// ingest latency absorbs the overload.
     Block,
     /// Drop the incoming item as soon as one push finds the ring full,
-    /// without waiting, and count it (per shard, plus the
-    /// `qf_pipeline_dropped_total` telemetry counter). The rest of the
-    /// slab stays buffered for the next flush. Bounded ingest latency;
-    /// the drop rate is the overload signal.
+    /// without waiting, and count it per shard (served as
+    /// `qf_pipeline_dropped_total{shard="N"}`). The rest of the slab stays
+    /// buffered for the next flush. Bounded ingest latency; the drop rate
+    /// is the overload signal.
     DropNewest,
     /// Admit the incoming item by shedding the *oldest* queued slab. A
     /// full ring first makes the router wait up to 512 spin/yield rounds,
@@ -257,7 +254,8 @@ pub struct ReportEvent {
     pub report: Report,
 }
 
-/// Exact per-shard accounting, returned by [`Pipeline::shutdown`].
+/// Exact per-shard accounting, returned by [`Pipeline::shutdown`]; the
+/// same fields live in [`OpsView::counts`](crate::OpsView::counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardSummary {
     /// Items accepted onto this shard's queue.
@@ -333,8 +331,8 @@ struct ShardHandle {
     /// One ring per shard for the pipeline's whole life — it spans
     /// worker restarts so dumps keep the pre-crash history.
     flight: ShardFlight,
-    /// Lock-free mirror of this shard's supervision state, read by
-    /// [`OpsView`] holders.
+    /// Lock-free mirror of this shard's supervision state and router
+    /// counts, read by [`OpsView`] holders.
     board: Arc<ShardBoard>,
     /// Router-side backpressure edge detector: `true` while the last
     /// push attempt on this shard found the queue full.
@@ -349,10 +347,6 @@ struct ShardHandle {
     /// counter resets once the shard runs `strike_forgiveness` past it.
     applied_at_restart: u64,
     restarts: u64,
-    /// Journaled applies carried over from lineages that ended in
-    /// `StateLoss` (their items were processed, then the state was
-    /// rolled away; the count survives).
-    processed_cum: u64,
     /// Loss already attributed to earlier fences, so each recovery
     /// record carries only its own increment.
     lost_so_far: u64,
@@ -371,6 +365,13 @@ struct ShardHandle {
 }
 
 impl ShardHandle {
+    /// Store the router's counts on the board: at a slab handoff, a drop,
+    /// a rejection or a recovery, never per admitted item.
+    fn publish(&self) {
+        self.board
+            .publish_router(self.enqueued, self.dropped, self.rejected);
+    }
+
     /// A push landed and returned what its slot held: the emptied slab
     /// the worker released there becomes the next one to fill. A slot
     /// that never held a slab (warm-up) or last held a control message
@@ -600,7 +601,6 @@ impl Pipeline {
                 strikes: 0,
                 applied_at_restart: 0,
                 restarts: 0,
-                processed_cum: 0,
                 lost_so_far: 0,
                 last_progress: 0,
                 last_progress_at: Instant::now(),
@@ -726,12 +726,18 @@ impl Pipeline {
     }
 
     /// Detach a thread-safe read handle over the per-shard supervision
-    /// scoreboards and flight recorders — what the `qf-ops` HTTP server
-    /// serves from. Cheap to clone; stays valid after shutdown.
+    /// scoreboards, counts and flight recorders — what the `qf-ops` HTTP
+    /// server serves from. Cheap to clone; stays valid after shutdown.
     pub fn ops_view(&self) -> OpsView {
         OpsView::new(
-            self.shards.iter().map(|h| Arc::clone(&h.board)).collect(),
-            self.shards.iter().map(|h| h.flight.clone()).collect(),
+            self.shards
+                .iter()
+                .map(|h| ShardView {
+                    board: Arc::clone(&h.board),
+                    recovery: Arc::clone(&h.recovery),
+                    flight: h.flight.clone(),
+                })
+                .collect(),
         )
     }
 
@@ -790,11 +796,13 @@ impl Pipeline {
         self.offered += 1;
         let shard = shard_of(key, self.shards.len());
         let handle = &mut self.shards[shard];
+        let mut flushed = false;
         let outcome = if handle.state == ShardState::Quarantined {
             IngestOutcome::ShardDown
         } else {
             handle.buf.push(key, value);
-            if handle.buf.is_full() {
+            flushed = handle.buf.is_full();
+            if flushed {
                 self.flush_full(shard, key)
             } else {
                 IngestOutcome::Enqueued
@@ -804,19 +812,15 @@ impl Pipeline {
         match outcome {
             IngestOutcome::Enqueued => {
                 handle.enqueued += 1;
-                telemetry::enqueued();
                 if self.config.policy == BackpressurePolicy::ShedFair {
                     self.fairness[shard].note(key);
                 }
             }
-            IngestOutcome::Dropped => {
-                handle.dropped += 1;
-                telemetry::dropped();
-            }
-            IngestOutcome::ShardDown => {
-                handle.rejected += 1;
-                telemetry::shard_down_rejected();
-            }
+            IngestOutcome::Dropped => handle.dropped += 1,
+            IngestOutcome::ShardDown => handle.rejected += 1,
+        }
+        if flushed || outcome != IngestOutcome::Enqueued {
+            handle.publish();
         }
         Ok(outcome)
     }
@@ -940,6 +944,7 @@ impl Pipeline {
             {
                 Ok(back) => {
                     self.shards[shard].refill(back);
+                    self.shards[shard].publish();
                     if self.shards[shard].stalled {
                         self.note_backpressure(shard, false);
                     }
@@ -1040,10 +1045,7 @@ impl Pipeline {
     }
 
     fn set_state(s: &mut ShardHandle, state: ShardState) {
-        if s.state != state {
-            telemetry::shard_state_delta(state.code() - s.state.code());
-            s.state = state;
-        }
+        s.state = state;
         s.board.set_state(state, s.strikes);
     }
 
@@ -1066,7 +1068,7 @@ impl Pipeline {
         Self::set_state(s, ShardState::Restarting);
         // Fence + rebuild under one lock acquisition: after this block
         // the old generation can neither journal nor seal.
-        let (recovered, applied_now, shed_now, fenced_gen) = {
+        let (recovered, applied_now, processed_now, shed_now, fenced_gen) = {
             let mut inner = s.recovery.lock();
             if inner.applied.saturating_sub(s.applied_at_restart) >= sup.strike_forgiveness {
                 s.strikes = 0;
@@ -1081,7 +1083,13 @@ impl Pipeline {
                 inner.recover(&mut || config.base_filter(shard, restored))
             };
             s.generation = inner.generation;
-            (recovered, inner.applied, inner.shed, fenced_gen)
+            (
+                recovered,
+                inner.applied,
+                inner.processed,
+                inner.shed,
+                fenced_gen,
+            )
         };
         // Loss attributable to this fence: everything enqueued that is
         // neither journaled-processed nor shed nor already-accounted —
@@ -1090,18 +1098,12 @@ impl Pipeline {
         // be re-flushed to the replacement worker. Covers the
         // uncommitted slabs in the ring's slots, the one being applied
         // included.
-        if let Some(rec) = &recovered {
-            if rec.base == RecoveredBase::StateLoss {
-                s.processed_cum += rec.prior_applied;
-            }
-        }
         let buffered = s.buf.len() as u64 + in_hand;
-        let processed_total = s.processed_cum + applied_now;
         let lost_inc = s
             .enqueued
             .saturating_sub(buffered)
             .saturating_sub(shed_now)
-            .saturating_sub(processed_total)
+            .saturating_sub(processed_now)
             .saturating_sub(s.lost_so_far);
         s.lost_so_far += lost_inc;
         // Retire the old worker: dropping its producer closes the ring
@@ -1164,7 +1166,6 @@ impl Pipeline {
                 record.quarantined = false;
                 record.restart_latency = t0.elapsed();
                 Self::set_state(s, ShardState::Running);
-                telemetry::restart();
             }
             None => {
                 // Quarantine is terminal: the router-held slabs excluded
@@ -1191,13 +1192,9 @@ impl Pipeline {
             s.flight.restart(fenced_gen, cause.code(), record.lost);
         }
         s.flight.dump(&self.flight_dir, fenced_gen, cause.name());
-        s.board.record_recovery(
-            s.generation,
-            cause,
-            record.lost,
-            record.restart_latency.as_micros() as u64,
-            !record.quarantined,
-        );
+        s.board
+            .record_recovery(&record, s.generation, s.lost_so_far);
+        s.publish();
         self.recoveries.push(record);
     }
 
@@ -1245,6 +1242,7 @@ impl Pipeline {
             match handle.queue.try_push(Msg::Slab(slab)) {
                 Ok(back) => {
                     handle.refill(back);
+                    handle.publish();
                     if handle.stalled {
                         self.note_backpressure(shard, false);
                     }
@@ -1404,7 +1402,7 @@ impl Pipeline {
             }
         }
         // Phase 3: assemble the summary from the recovery state (the
-        // crash-safe source of truth) and release the gauge.
+        // crash-safe source of truth).
         let mut totals = PipelineSummary {
             offered: self.offered,
             enqueued: 0,
@@ -1420,11 +1418,10 @@ impl Pipeline {
             reports: Vec::new(),
         };
         for s in &self.shards {
-            let (applied, shard_shed, shard_reports) = {
+            let (processed, shard_shed, shard_reports) = {
                 let inner = s.recovery.lock();
-                (inner.applied, inner.shed, inner.reports)
+                (inner.processed, inner.shed, inner.reports)
             };
-            let processed = s.processed_cum + applied;
             let lost = s
                 .enqueued
                 .saturating_sub(shard_shed)
@@ -1448,9 +1445,6 @@ impl Pipeline {
             totals.lost_to_crash += summary.lost;
             totals.reports_emitted += summary.reports;
             totals.restarts += summary.restarts;
-            // The process-wide gauge outlives this pipeline; remove this
-            // run's contribution.
-            telemetry::shard_state_delta(-s.state.code());
             totals.per_shard.push(summary);
         }
         // Phase 4: drain the sink (all live workers have exited; fenced
@@ -1512,26 +1506,23 @@ impl Pipeline {
     /// loss, and mark the shard quarantined — no restart at teardown.
     fn fence_terminally(&mut self, shard: usize, cause: CrashCause) {
         let s = &mut self.shards[shard];
-        let (applied_now, shed_now, fenced_gen) = {
+        let (applied_now, processed_now, shed_now, fenced_gen) = {
             let mut inner = s.recovery.lock();
             let fenced = inner.generation;
             inner.generation += 1;
-            (inner.applied, inner.shed, fenced)
+            (inner.applied, inner.processed, inner.shed, fenced)
         };
         s.generation += 1;
-        let processed_total = s.processed_cum + applied_now;
         let lost_inc = s
             .enqueued
             .saturating_sub(shed_now)
-            .saturating_sub(processed_total)
+            .saturating_sub(processed_now)
             .saturating_sub(s.lost_so_far);
         s.lost_so_far += lost_inc;
         Self::set_state(s, ShardState::Quarantined);
         s.flight.quarantine(fenced_gen, cause.code(), lost_inc);
         s.flight.dump(&self.flight_dir, fenced_gen, cause.name());
-        s.board
-            .record_recovery(s.generation, cause, lost_inc, 0, false);
-        self.recoveries.push(RecoveryRecord {
+        let record = RecoveryRecord {
             shard,
             generation: fenced_gen,
             cause,
@@ -1542,7 +1533,10 @@ impl Pipeline {
             prior_applied: applied_now,
             quarantined: true,
             restart_latency: Duration::ZERO,
-        });
+        };
+        s.board
+            .record_recovery(&record, s.generation, s.lost_so_far);
+        self.recoveries.push(record);
     }
 }
 

@@ -56,9 +56,10 @@
 //! All of this state lives behind one uncontended mutex per shard
 //! ([`ShardRecovery`]), written by the worker in per-slab batches (the
 //! worker takes the lock once per slab of up to
-//! `PipelineConfig::slab_capacity` items) and read by the router only
-//! during recovery — so the fault-free hot path pays one uncontended
-//! lock plus a handful of word writes per slab. Generation fencing
+//! `PipelineConfig::slab_capacity` items), read by the router only
+//! during recovery and shutdown, and copied by an ops scrape once per
+//! shard — so the fault-free hot path pays one lock, contended at most
+//! by a scrape, plus a handful of word writes per slab. Generation fencing
 //! makes abandoned workers harmless: the router bumps
 //! `RecoveryInner::generation` under the lock before rebuilding, and a
 //! stale worker (e.g. one that was hung and later wakes) observes the
@@ -66,10 +67,10 @@
 //! reporting, or sealing anything.
 
 use crate::chaos::ArmedChaos;
-use crate::telemetry;
 use core::time::Duration;
 use qf_model::sync::atomic::{AtomicU64, Ordering};
 use qf_model::sync::{Mutex, MutexGuard};
+use quantile_filter::filter::FilterStats;
 use quantile_filter::QuantileFilter;
 use std::collections::VecDeque;
 
@@ -92,9 +93,8 @@ pub enum ShardState {
 }
 
 impl ShardState {
-    /// Numeric encoding used by the `qf_pipeline_shard_state` gauge
-    /// (which exports the *sum* of codes across shards, so `0` means
-    /// every shard is `Running`).
+    /// Numeric encoding served as the per-shard `qf_pipeline_shard_state`
+    /// gauge (`0` means `Running`).
     pub fn code(self) -> i64 {
         match self {
             Self::Running => 0,
@@ -303,8 +303,9 @@ struct Checkpoint {
 }
 
 /// The mutex-guarded half of a shard's recovery state. Workers append to
-/// it once per burst; the router reads it only while recovering or
-/// summarizing.
+/// it once per burst; the router reads it while recovering or
+/// summarizing, and an [`OpsView`](crate::OpsView) scrape copies its
+/// counts.
 #[derive(Debug)]
 pub(crate) struct RecoveryInner {
     /// Fencing token: bumped by the router before every rebuild. A
@@ -313,16 +314,23 @@ pub(crate) struct RecoveryInner {
     pub(crate) generation: u64,
     /// Applied-and-journaled items of the surviving lineage.
     pub(crate) applied: u64,
+    /// Applied-and-journaled items of every lineage: `applied` plus what
+    /// lineages that ended in `StateLoss` had applied before it.
+    pub(crate) processed: u64,
     /// Reports emitted for journaled items (crash-safe report count).
     pub(crate) reports: u64,
     /// Items shed by the worker under `DropOldest` (popped, discarded,
     /// never applied).
     pub(crate) shed: u64,
+    /// The live filter's statistics as of the worker's last commit, which
+    /// copies them here.
+    pub(crate) stats: FilterStats,
     journal: VecDeque<JournalEntry>,
     journal_cap: usize,
     slots: [Option<Checkpoint>; 2],
     latest: usize,
-    seals: u64,
+    /// Checkpoints sealed so far (the chaos seal ordinal).
+    pub(crate) seals: u64,
 }
 
 /// Per-shard recovery state shared between the router, the live worker,
@@ -350,8 +358,10 @@ impl ShardRecovery {
             inner: Mutex::new(RecoveryInner {
                 generation: 0,
                 applied: 0,
+                processed: 0,
                 reports: 0,
                 shed: 0,
+                stats: FilterStats::default(),
                 journal: VecDeque::with_capacity(journal_cap + 1),
                 journal_cap,
                 slots: [None, None],
@@ -401,6 +411,7 @@ impl RecoveryInner {
     /// inside its batch commit, after the generation check.
     pub(crate) fn append(&mut self, items: &[(u64, f64)]) {
         self.applied += items.len() as u64;
+        self.processed += items.len() as u64;
         self.journal.extend(
             items
                 .iter()
@@ -410,12 +421,6 @@ impl RecoveryInner {
         // but a bounded journal must stay bounded regardless.
         let excess = self.journal.len().saturating_sub(self.journal_cap);
         self.journal.drain(..excess);
-    }
-
-    /// Checkpoints sealed so far (the chaos seal ordinal).
-    #[cfg(test)]
-    pub(crate) fn seals(&self) -> u64 {
-        self.seals
     }
 
     /// Sequence number of the journal's front entry (`applied + 1` when
@@ -479,7 +484,6 @@ impl RecoveryInner {
         let bound = self.slots[1 - standby].as_ref().map_or(0, |c| c.seq);
         let stale = (bound + 1).saturating_sub(self.front_seq()) as usize;
         self.journal.drain(..stale.min(self.journal.len()));
-        telemetry::checkpoint_sealed();
         // Runs on the worker thread (under the commit lock), so the
         // thread-local flight context routes this to the shard's ring.
         crate::flight::checkpoint_seal(self.seals, self.applied);
@@ -544,7 +548,6 @@ impl RecoveryInner {
         self.generation += 1;
         let prior_applied = self.applied;
         if let Some((filter, base, replayed)) = self.reconstruct(build_fresh) {
-            telemetry::replayed(replayed);
             return Some(Recovered {
                 filter,
                 base,
@@ -648,7 +651,7 @@ mod tests {
         let mut filter = build();
         drive(&rec, &mut filter, &workload(32), 16);
         let mut inner = rec.lock();
-        assert_eq!(inner.seals(), 2, "both slots hold a checkpoint");
+        assert_eq!(inner.seals, 2, "both slots hold a checkpoint");
         let standby = 1 - inner.latest;
         let old = inner.slots[standby].as_ref().map(grid_ptr);
         for (k, v) in workload(5) {
@@ -683,7 +686,7 @@ mod tests {
         let items = workload(50);
         drive(&rec, &mut filter, &items, 1000);
         let mut inner = rec.lock();
-        assert_eq!(inner.seals(), 0);
+        assert_eq!(inner.seals, 0);
         let recovered = match inner.recover(&mut || Some(build())) {
             Some(r) => r,
             None => panic!("recover failed"),
@@ -730,7 +733,7 @@ mod tests {
         let mut filter = build();
         drive(&rec, &mut filter, &workload(200), 16);
         let mut inner = rec.lock();
-        assert!(inner.seals() >= 3, "seals: {}", inner.seals());
+        assert!(inner.seals >= 3, "seals: {}", inner.seals);
         let latest = inner.latest;
         let newest_seq = inner.latest_seq();
         let older_seq = inner.slots[1 - latest].as_ref().map(|c| c.seq);

@@ -35,8 +35,9 @@
 //! The loop body, [`run_supervised`], keeps the crash-recovery contract
 //! from [`crate::supervisor`]: a slab is taken, applied, then
 //! *committed* — journaled under the shard's recovery lock, with a
-//! checkpoint sealed when due — before any report is sent. The order is
-//! the whole correctness story:
+//! checkpoint sealed when due and a copy of the filter's `FilterStats`
+//! left for `/metrics` — before any report is sent. The order is the
+//! whole correctness story:
 //!
 //! * reports only ever describe journaled items, so a recovered filter
 //!   (checkpoint + journal replay) is never *behind* the reports the
@@ -57,7 +58,6 @@ use crate::flight::{self, ShardFlight};
 use crate::pipeline::Fairness;
 use crate::ring::Consumer;
 use crate::supervisor::ShardRecovery;
-use crate::telemetry;
 use quantile_filter::{QuantileFilter, Report};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -292,12 +292,10 @@ pub(crate) fn run_supervised(
                 // ordinal clock the chaos plan addresses items by
                 // (ordinals stay per-item: `base + i`).
                 let base = sup.recovery.note_progress(n as u64);
-                telemetry::dequeued_n(n as u64);
                 // Redeem a shed credit against this whole slab (the
                 // oldest in the queue by FIFO). The length still counts
                 // as committed shed so conservation holds exactly.
                 if guard.queue.take_shed(1) != 0 {
-                    telemetry::shed_n(n as u64);
                     unnote_shed(sup.fairness.as_ref(), &slab);
                     {
                         let mut inner = sup.recovery.lock();
@@ -335,13 +333,13 @@ pub(crate) fn run_supervised(
                     }
                     inner.append(items);
                     inner.reports += staged.buf.len() as u64;
+                    inner.stats = filter.stats();
                     if inner.due_seal(sup.checkpoint_interval) {
                         inner.seal_checkpoint(shard, &filter, sup.chaos.as_ref());
                     }
                 }
                 processed += n as u64;
                 for (i, report) in staged.buf.drain(..) {
-                    telemetry::report();
                     let _ = sink.send(Event::Report {
                         shard,
                         key: items[i].0,

@@ -12,7 +12,7 @@
 //!   the suffix with report sequences identical to the original's
 //!   post-barrier reports.
 //!
-//! Sizes shrink under Miri (like the telemetry stress tests); the CI
+//! Sizes shrink under Miri (like the histogram stress tests); the CI
 //! matrix pins one shard count per job via `QF_PIPELINE_STRESS_SHARDS`
 //! and one router slab capacity via `QF_PIPELINE_SLAB` (slab = 1 is the
 //! v1 per-item handoff, reproduced bit-for-bit).

@@ -90,15 +90,7 @@ impl<C: SketchCounter> CountMinSketch<C> {
     #[inline(always)]
     fn bump_cell(&mut self, row: usize, col: usize, w: i64) -> i64 {
         let cell = &mut self.cells[row * self.width + col];
-        #[cfg(feature = "telemetry")]
-        let before = cell.to_i64();
         *cell = cell.saturating_add_i64(w);
-        // Same saturation accounting as the Count sketch's add path.
-        #[cfg(feature = "telemetry")]
-        if before.checked_add(w) != Some(cell.to_i64()) {
-            crate::telemetry::saturation_event();
-            crate::trace::saturation(row, col);
-        }
         cell.to_i64()
     }
 }
@@ -178,15 +170,7 @@ impl<C: SketchCounter> WeightSketch for CountMinSketch<C> {
         for row in 0..self.rows {
             let col = self.family.column(row, key);
             let cell = &mut self.cells[row * self.width + col];
-            #[cfg(feature = "telemetry")]
-            let before = cell.to_i64();
             *cell = cell.saturating_add_i64(delta);
-            // Same saturation accounting as the Count sketch's add path.
-            #[cfg(feature = "telemetry")]
-            if before.checked_add(delta) != Some(cell.to_i64()) {
-                crate::telemetry::saturation_event();
-                crate::trace::saturation(row, col);
-            }
         }
     }
 

@@ -102,19 +102,7 @@ impl<C: SketchCounter> CountSketch<C> {
     #[inline(always)]
     fn bump_cell(&mut self, row: usize, col: usize, w: i64) -> i64 {
         let cell = &mut self.cells[row * self.width + col];
-        #[cfg(feature = "telemetry")]
-        let before = cell.to_i64();
         *cell = cell.saturating_add_i64(w);
-        // A cell that clamped instead of absorbing the full delta is a
-        // saturation event (§III-B's overflow-reversal guard engaging).
-        // Detection is telemetry's per-insert cost (PR 2's ≤2% bar); the
-        // trace emit rides inside the branch telemetry already takes, so
-        // the `trace` feature alone adds nothing to this loop.
-        #[cfg(feature = "telemetry")]
-        if before.checked_add(w) != Some(cell.to_i64()) {
-            crate::telemetry::saturation_event();
-            crate::trace::saturation(row, col);
-        }
         cell.to_i64()
     }
 
@@ -244,17 +232,7 @@ impl<C: SketchCounter> WeightSketch for CountSketch<C> {
         for row in 0..self.rows {
             let (col, sign) = self.family.column_and_sign(row, key);
             let cell = self.cell_mut(row, col);
-            let w = sign * delta;
-            #[cfg(feature = "telemetry")]
-            let before = cell.to_i64();
-            *cell = cell.saturating_add_i64(w);
-            // A cell that clamped instead of absorbing the full delta is a
-            // saturation event (§III-B's overflow-reversal guard engaging).
-            #[cfg(feature = "telemetry")]
-            if before.checked_add(w) != Some(cell.to_i64()) {
-                crate::telemetry::saturation_event();
-                crate::trace::saturation(row, col);
-            }
+            *cell = cell.saturating_add_i64(sign * delta);
         }
     }
 

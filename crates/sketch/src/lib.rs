@@ -34,8 +34,6 @@ pub mod rounding;
 pub mod simd;
 pub mod snapshot;
 pub mod space_saving;
-pub(crate) mod telemetry;
-pub(crate) mod trace;
 pub mod traits;
 
 pub use count_min::CountMinSketch;

@@ -84,10 +84,7 @@ impl StochasticRounder {
         }
         // Draw a uniform in [0,1) from 53 random mantissa bits.
         let u = (self.rng.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
-        let up = u < w.frac;
-        // No-op unless the `telemetry` feature is on; never touches the RNG.
-        crate::telemetry::rounding_event(up, w.frac);
-        if up {
+        if u < w.frac {
             w.base + 1
         } else {
             w.base

@@ -8,7 +8,6 @@
 //!
 //! ## Prometheus text format
 //!
-//! Counters and gauges become single samples with `# TYPE` headers.
 //! Histograms become classic cumulative-bucket families:
 //! `<name>_bucket{le="…"}`, `<name>_sum`, `<name>_count`, plus
 //! precomputed `<name>{quantile="…"}` summary samples for p50/p95/p99 so
@@ -20,8 +19,6 @@
 //! ```json
 //! {
 //!   "meta": {"detector": "QuantileFilter"},
-//!   "counters": {"qf_filter_inserts_total": 123},
-//!   "gauges": {"qf_rounding_drift_micros": -4},
 //!   "histograms": {
 //!     "qf_insert_latency_ns": {
 //!       "count": 57, "sum": 12345, "max": 999, "mean": 216.6,
@@ -38,42 +35,14 @@ use std::fmt::Write as _;
 /// Quantiles both exporters precompute for every histogram.
 pub const EXPORT_QUANTILES: [(f64, &str); 3] = [(0.50, "0.5"), (0.95, "0.95"), (0.99, "0.99")];
 
-fn base_name(name: &str) -> &str {
-    name.split('{').next().unwrap_or(name)
-}
-
-#[cfg(test)]
-fn label_part(name: &str) -> Option<&str> {
-    let open = name.find('{')?;
-    Some(&name[open + 1..name.len() - 1])
-}
-
 /// Render a snapshot in the Prometheus text exposition format.
 pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
     for (k, v) in &snap.meta {
         let _ = writeln!(out, "# qf_meta {k} {v}");
     }
-    let mut last_type_line: Option<String> = None;
-    let mut type_line = |out: &mut String, name: &str, kind: &str| {
-        let line = format!("# TYPE {name} {kind}");
-        if last_type_line.as_deref() != Some(&line) {
-            out.push_str(&line);
-            out.push('\n');
-            last_type_line = Some(line);
-        }
-    };
-
-    for &(name, v) in &snap.counters {
-        type_line(&mut out, base_name(name), "counter");
-        let _ = writeln!(out, "{name} {v}");
-    }
-    for &(name, v) in &snap.gauges {
-        type_line(&mut out, base_name(name), "gauge");
-        let _ = writeln!(out, "{name} {v}");
-    }
     for (name, h) in &snap.histograms {
-        type_line(&mut out, name, "histogram");
+        let _ = writeln!(out, "# TYPE {name} histogram");
         let mut cumulative = 0u64;
         for (i, &c) in h.buckets.iter().enumerate() {
             if c == 0 {
@@ -141,19 +110,7 @@ pub fn to_json(snap: &MetricsSnapshot) -> String {
         let sep = if i == 0 { "" } else { ", " };
         let _ = write!(out, "{sep}\"{}\": \"{}\"", json_escape(k), json_escape(v));
     }
-    out.push_str("},\n  \"counters\": {");
-    // Labelled counters keep the label in the key: the name string is the
-    // metric's identity everywhere (JSON, Prometheus, `MetricsSnapshot`).
-    for (i, &(name, v)) in snap.counters.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n    \"{}\": {v}", json_escape(name));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, &(name, v)) in snap.gauges.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n    \"{}\": {v}", json_escape(name));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
+    out.push_str("},\n  \"histograms\": {");
     for (i, (name, h)) in snap.histograms.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
@@ -174,9 +131,6 @@ mod tests {
 
     fn sample_snapshot() -> MetricsSnapshot {
         let m = QfMetrics::new();
-        m.filter_inserts.add(100);
-        m.filter_reports_candidate.add(2);
-        m.rounding_drift_micros.add(-7);
         for v in 1..=100u64 {
             m.insert_latency_ns.record(v * 10);
         }
@@ -184,23 +138,17 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_has_types_samples_and_labels() {
+    fn prometheus_has_types_samples_and_meta() {
         let text = to_prometheus(&sample_snapshot());
         assert!(text.contains("# qf_meta detector QuantileFilter"));
-        assert!(text.contains("# TYPE qf_filter_inserts_total counter"));
-        assert!(text.contains("qf_filter_inserts_total 100"));
-        // The labelled counter keeps its label and shares one TYPE header.
-        assert!(text.contains("qf_filter_reports_total{source=\"candidate\"} 2"));
         assert_eq!(
-            text.matches("# TYPE qf_filter_reports_total counter")
+            text.matches("# TYPE qf_insert_latency_ns histogram")
                 .count(),
             1
         );
-        assert!(text.contains("# TYPE qf_insert_latency_ns histogram"));
         assert!(text.contains("qf_insert_latency_ns_bucket{le=\"+Inf\"} 100"));
         assert!(text.contains("qf_insert_latency_ns_count 100"));
         assert!(text.contains("qf_insert_latency_ns{quantile=\"0.95\"}"));
-        assert!(text.contains("qf_rounding_drift_micros -7"));
     }
 
     #[test]
@@ -229,21 +177,11 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"meta\": {"));
         assert!(json.contains("\"detector\": \"QuantileFilter\""));
-        assert!(json.contains("\"qf_filter_inserts_total\": 100"));
-        assert!(json.contains("\"qf_filter_reports_total{source=\\\"candidate\\\"}\": 2"));
         assert!(json.contains("\"qf_insert_latency_ns\": {\"count\": 100"));
         assert!(json.contains("\"p50\":"));
         assert!(json.contains("\"p95\":"));
         assert!(json.contains("\"p99\":"));
         assert!(!json.contains(",,"));
-    }
-
-    #[test]
-    fn label_helpers_split_names() {
-        assert_eq!(base_name("a_total{source=\"x\"}"), "a_total");
-        assert_eq!(base_name("a_total"), "a_total");
-        assert_eq!(label_part("a_total{source=\"x\"}"), Some("source=\"x\""));
-        assert_eq!(label_part("a_total"), None);
     }
 
     #[test]

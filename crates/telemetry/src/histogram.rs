@@ -129,15 +129,6 @@ impl LogHistogram {
         self.sum.fetch_add(other.sum, Ordering::Relaxed);
         self.max.fetch_max(other.max, Ordering::Relaxed);
     }
-
-    /// Reset every counter to zero (tests; racy by design).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A plain (non-atomic) copy of a histogram's state: the unit of export,

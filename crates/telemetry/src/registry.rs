@@ -1,129 +1,51 @@
-//! The `QfMetrics` registry: every metric the QuantileFilter stack emits,
-//! as one statically-allocated struct of relaxed-atomic primitives.
+//! The `QfMetrics` registry: the process-wide latency histograms, as one
+//! statically-allocated struct.
 //!
 //! A field-per-metric struct (rather than a name → metric hash map) keeps
-//! the hot path free of lookups: an instrumented call site compiles to a
-//! single `fetch_add` on a fixed address. The process-wide instance from
-//! [`global()`] is what the feature-gated hooks in `quantile-filter` and
-//! `qf-sketch` write into, and what the exporters read.
+//! recording free of lookups: a recording call site is a
+//! [`LogHistogram::record`] on a fixed address. The process-wide instance
+//! from [`global()`] is what qf-eval's telemetered runner records its
+//! sampled insert latencies into, and what the exporters read.
+//!
+//! Counts do not live here. A filter counts its own paths in
+//! `FilterStats`, and a pipeline serves each shard's counts from the shard
+//! itself (qf-ops's `/metrics`), so no per-item event ever lands in a
+//! process-global word.
 //!
 //! ## Naming conventions
 //!
-//! Metric names follow Prometheus style: `qf_` prefix, `_total` suffix on
-//! counters, base units in the name (`_ns`, `_micros`). The only label in
-//! use is `source="candidate"|"vague"` on `qf_filter_reports_total`,
-//! mirroring [`ReportSource`](../../core/src/filter.rs) — new labels should
-//! follow the same pattern: small, closed vocabularies only, one counter
-//! field per label value.
+//! Metric names follow Prometheus style: `qf_` prefix, base units in the
+//! name (`_ns`).
 
-use crate::counter::{Counter, Gauge};
 use crate::histogram::{HistogramSnapshot, LogHistogram};
 
-macro_rules! registry {
-    (
-        counters { $($cfield:ident => $cname:literal,)* }
-        gauges { $($gfield:ident => $gname:literal,)* }
-        histograms { $($hfield:ident => $hname:literal,)* }
-    ) => {
-        /// The full metric registry (see module docs for naming rules).
-        #[derive(Debug, Default)]
-        pub struct QfMetrics {
-            $(#[doc = concat!("`", $cname, "`")] pub $cfield: Counter,)*
-            $(#[doc = concat!("`", $gname, "`")] pub $gfield: Gauge,)*
-            $(#[doc = concat!("`", $hname, "`")] pub $hfield: LogHistogram,)*
-        }
-
-        impl QfMetrics {
-            /// A fresh all-zero registry (usable in `static` initializers).
-            pub const fn new() -> Self {
-                Self {
-                    $($cfield: Counter::new(),)*
-                    $($gfield: Gauge::new(),)*
-                    $($hfield: LogHistogram::new(),)*
-                }
-            }
-
-            /// Point-in-time copy of every metric, tagged with its
-            /// exported name.
-            pub fn snapshot(&self) -> MetricsSnapshot {
-                MetricsSnapshot {
-                    meta: Vec::new(),
-                    counters: vec![$(($cname, self.$cfield.get()),)*],
-                    gauges: vec![$(($gname, self.$gfield.get()),)*],
-                    histograms: vec![$(($hname, self.$hfield.snapshot()),)*],
-                }
-            }
-
-            /// Zero every metric (tests and single-process re-runs; racy
-            /// by design, like all relaxed-atomic metric stores).
-            pub fn reset(&self) {
-                $(self.$cfield.reset();)*
-                $(self.$gfield.reset();)*
-                $(self.$hfield.reset();)*
-            }
-        }
-    };
+/// The full metric registry (see module docs for naming rules).
+#[derive(Debug, Default)]
+pub struct QfMetrics {
+    /// `qf_insert_latency_ns`: sampled whole-insert latencies.
+    pub insert_latency_ns: LogHistogram,
 }
 
-registry! {
-    counters {
-        // filter.rs hot paths
-        filter_inserts => "qf_filter_inserts_total",
-        filter_queries => "qf_filter_queries_total",
-        filter_deletes => "qf_filter_deletes_total",
-        filter_dropped_nonfinite => "qf_filter_dropped_nonfinite_total",
-        filter_rejected_nonfinite => "qf_filter_rejected_nonfinite_total",
-        filter_reports_candidate => "qf_filter_reports_total{source=\"candidate\"}",
-        filter_reports_vague => "qf_filter_reports_total{source=\"vague\"}",
-        // candidate.rs: paths, elections, evictions
-        candidate_hits => "qf_candidate_hits_total",
-        candidate_inserts => "qf_candidate_inserts_total",
-        candidate_bucket_full => "qf_candidate_bucket_full_total",
-        candidate_elections => "qf_candidate_elections_total",
-        candidate_evictions => "qf_candidate_evictions_total",
-        // vague.rs sketch traffic
-        vague_adds => "qf_vague_adds_total",
-        vague_removes => "qf_vague_removes_total",
-        // qf-sketch events
-        sketch_saturations => "qf_sketch_saturation_events_total",
-        rounding_fractional => "qf_rounding_fractional_total",
-        rounding_up => "qf_rounding_up_total",
-        // qf-pipeline ingest traffic (process aggregates; exact per-shard
-        // accounting travels in `PipelineSummary`, since the registry's
-        // closed-vocabulary label rule rules out per-shard label values)
-        pipeline_enqueued => "qf_pipeline_enqueued_total",
-        pipeline_dequeued => "qf_pipeline_dequeued_total",
-        pipeline_dropped => "qf_pipeline_dropped_total",
-        pipeline_reports => "qf_pipeline_reports_total",
-        // qf-pipeline supervision & recovery
-        pipeline_shed_oldest => "qf_pipeline_shed_oldest_total",
-        pipeline_shard_down_rejected => "qf_pipeline_shard_down_rejected_total",
-        pipeline_restarts => "qf_pipeline_restarts_total",
-        pipeline_checkpoint_seals => "qf_pipeline_checkpoint_seal_total",
-        pipeline_replayed => "qf_pipeline_replayed_items_total",
+impl QfMetrics {
+    /// A fresh all-zero registry (usable in `static` initializers).
+    pub const fn new() -> Self {
+        Self {
+            insert_latency_ns: LogHistogram::new(),
+        }
     }
-    gauges {
-        // Cumulative stochastic-rounding drift, in millionths of a unit of
-        // Qweight: +(1−frac)·1e6 on a round-up, −frac·1e6 on a round-down.
-        // Stays near zero iff the rounder is unbiased in practice.
-        rounding_drift_micros => "qf_rounding_drift_micros",
-        // Items sitting in shard queues right now, summed across shards:
-        // +1 on enqueue, −1 on dequeue.
-        pipeline_queue_depth => "qf_pipeline_queue_depth",
-        // Sum of shard lifecycle-state codes across supervised shards
-        // (Running=0, Suspect=1, Restarting=2, Quarantined=3): 0 means
-        // every shard is healthy; a stuck 3 means one is quarantined.
-        pipeline_shard_state => "qf_pipeline_shard_state",
-    }
-    histograms {
-        insert_latency_ns => "qf_insert_latency_ns",
-        query_latency_ns => "qf_query_latency_ns",
+
+    /// Point-in-time copy of every metric, tagged with its exported name.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            meta: Vec::new(),
+            histograms: vec![("qf_insert_latency_ns", self.insert_latency_ns.snapshot())],
+        }
     }
 }
 
 static GLOBAL: QfMetrics = QfMetrics::new();
 
-/// The process-wide registry the instrumented crates record into.
+/// The process-wide registry.
 #[inline(always)]
 pub fn global() -> &'static QfMetrics {
     &GLOBAL
@@ -136,10 +58,6 @@ pub struct MetricsSnapshot {
     /// Free-form annotations (detector name, workload, …) carried into
     /// the exporters as JSON strings / Prometheus comments.
     pub meta: Vec<(String, String)>,
-    /// `(exported name, value)` per counter.
-    pub counters: Vec<(&'static str, u64)>,
-    /// `(exported name, value)` per gauge.
-    pub gauges: Vec<(&'static str, i64)>,
     /// `(exported name, state)` per histogram.
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
 }
@@ -151,14 +69,6 @@ impl MetricsSnapshot {
         self
     }
 
-    /// Look up a counter by exported name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-    }
-
     /// Look up a histogram by exported name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
@@ -167,31 +77,13 @@ impl MetricsSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// The change between two snapshots of the *same* registry: counters,
-    /// gauges, and histogram buckets subtract exactly; histogram maxima
-    /// keep the later cumulative value (see
-    /// [`HistogramSnapshot::delta_since`]). Meta is taken from `self`.
+    /// The change between two snapshots of the *same* registry: histogram
+    /// buckets subtract exactly; histogram maxima keep the later
+    /// cumulative value (see [`HistogramSnapshot::delta_since`]). Meta is
+    /// taken from `self`.
     pub fn delta_since(&self, before: &Self) -> Self {
         Self {
             meta: self.meta.clone(),
-            counters: self
-                .counters
-                .iter()
-                .zip(&before.counters)
-                .map(|(&(n, now), &(n2, b4))| {
-                    debug_assert_eq!(n, n2, "snapshot field order diverged");
-                    (n, now.saturating_sub(b4))
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .zip(&before.gauges)
-                .map(|(&(n, now), &(n2, b4))| {
-                    debug_assert_eq!(n, n2, "snapshot field order diverged");
-                    (n, now.wrapping_sub(b4))
-                })
-                .collect(),
             histograms: self
                 .histograms
                 .iter()
@@ -213,64 +105,34 @@ mod tests {
     fn fresh_registry_snapshots_to_zero() {
         let m = QfMetrics::new();
         let s = m.snapshot();
-        assert!(s.counters.iter().all(|&(_, v)| v == 0));
-        assert!(s.gauges.iter().all(|&(_, v)| v == 0));
         assert!(s.histograms.iter().all(|(_, h)| h.count() == 0));
     }
 
     #[test]
     fn snapshot_reflects_updates_by_name() {
         let m = QfMetrics::new();
-        m.filter_inserts.add(5);
-        m.candidate_evictions.incr();
-        m.rounding_drift_micros.add(-42);
         m.insert_latency_ns.record(100);
         let s = m.snapshot();
-        assert_eq!(s.counter("qf_filter_inserts_total"), Some(5));
-        assert_eq!(s.counter("qf_candidate_evictions_total"), Some(1));
-        assert_eq!(
-            s.gauges
-                .iter()
-                .find(|(n, _)| *n == "qf_rounding_drift_micros")
-                .unwrap()
-                .1,
-            -42
-        );
         assert_eq!(s.histogram("qf_insert_latency_ns").unwrap().count(), 1);
-        assert_eq!(s.counter("no_such_metric"), None);
+        assert!(s.histogram("no_such_metric").is_none());
     }
 
     #[test]
     fn delta_isolates_an_interval() {
         let m = QfMetrics::new();
-        m.filter_inserts.add(10);
+        m.insert_latency_ns.record(10);
         let before = m.snapshot();
-        m.filter_inserts.add(7);
-        m.query_latency_ns.record(50);
+        m.insert_latency_ns.record(50);
+        m.insert_latency_ns.record(70);
         let d = m.snapshot().delta_since(&before);
-        assert_eq!(d.counter("qf_filter_inserts_total"), Some(7));
-        assert_eq!(d.histogram("qf_query_latency_ns").unwrap().count(), 1);
+        assert_eq!(d.histogram("qf_insert_latency_ns").unwrap().count(), 2);
     }
 
     #[test]
-    fn reset_zeroes_and_meta_attaches() {
-        let m = QfMetrics::new();
-        m.filter_queries.add(3);
-        m.reset();
-        assert_eq!(m.snapshot().counter("qf_filter_queries_total"), Some(0));
-        let s = m.snapshot().with_meta("detector", "QuantileFilter");
+    fn meta_attaches() {
+        let s = QfMetrics::new()
+            .snapshot()
+            .with_meta("detector", "QuantileFilter");
         assert_eq!(s.meta[0].1, "QuantileFilter");
-    }
-
-    #[test]
-    fn global_is_shared() {
-        global().filter_deletes.incr();
-        assert!(
-            global()
-                .snapshot()
-                .counter("qf_filter_deletes_total")
-                .unwrap()
-                >= 1
-        );
     }
 }

@@ -6,14 +6,8 @@
 //! results-ingesting script never observes a half-written snapshot.
 //! [`PeriodicReporter::tick`] is designed to be called from inside a
 //! streaming loop: it is a single `Instant` comparison until the interval
-//! elapses, then one snapshot + two file writes.
-//!
-//! A reporter given a snapshot source via
-//! [`with_source`](PeriodicReporter::with_source) also flushes **on
-//! drop**, so the sidecars always capture the end-of-run state even when
-//! the owning loop exits between intervals (early return, `?`
-//! propagation, panic unwind). Without a source, drop writes nothing —
-//! the reporter cannot conjure a snapshot it was never shown.
+//! elapses, then one snapshot + two file writes. The owner writes the
+//! end-of-run state with [`PeriodicReporter::flush`].
 
 use crate::export::{to_json, to_prometheus};
 use crate::registry::MetricsSnapshot;
@@ -23,24 +17,12 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Writes `<prefix>.metrics.{json,prom}` sidecars, rate-limited.
+#[derive(Debug)]
 pub struct PeriodicReporter {
     prefix: PathBuf,
     interval: Duration,
     last: Instant,
     writes: u64,
-    /// When set, drop performs a final unconditional flush from here.
-    source: Option<Box<dyn Fn() -> MetricsSnapshot + Send>>,
-}
-
-impl std::fmt::Debug for PeriodicReporter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PeriodicReporter")
-            .field("prefix", &self.prefix)
-            .field("interval", &self.interval)
-            .field("writes", &self.writes)
-            .field("has_source", &self.source.is_some())
-            .finish()
-    }
 }
 
 impl PeriodicReporter {
@@ -54,18 +36,7 @@ impl PeriodicReporter {
             interval,
             last: Instant::now(),
             writes: 0,
-            source: None,
         }
-    }
-
-    /// Attach a snapshot source (typically
-    /// `|| qf_telemetry::global().snapshot()`); the reporter will flush
-    /// from it once more when dropped, guaranteeing the sidecars reflect
-    /// the end-of-run state on every exit path.
-    #[must_use]
-    pub fn with_source(mut self, source: impl Fn() -> MetricsSnapshot + Send + 'static) -> Self {
-        self.source = Some(Box::new(source));
-        self
     }
 
     /// Path of the JSON sidecar.
@@ -105,17 +76,6 @@ impl PeriodicReporter {
     }
 }
 
-impl Drop for PeriodicReporter {
-    fn drop(&mut self) {
-        if let Some(source) = self.source.take() {
-            // Errors are swallowed by necessity: drop has no channel to
-            // report them, and a failed final flush must not turn an
-            // orderly exit (or an unwind already in flight) into an abort.
-            let _ = self.flush(&source());
-        }
-    }
-}
-
 fn sidecar_path(prefix: &Path, ext: &str) -> PathBuf {
     let mut os = prefix.as_os_str().to_os_string();
     os.push(".");
@@ -146,14 +106,14 @@ mod tests {
     #[test]
     fn flush_writes_both_sidecars() {
         let m = QfMetrics::new();
-        m.filter_inserts.add(9);
+        m.insert_latency_ns.record(9);
         let prefix = scratch_prefix("flush");
         let mut rep = PeriodicReporter::new(&prefix, Duration::from_secs(3600));
         rep.flush(&m.snapshot()).unwrap();
         let json = fs::read_to_string(rep.json_path()).unwrap();
         let prom = fs::read_to_string(rep.prom_path()).unwrap();
-        assert!(json.contains("\"qf_filter_inserts_total\": 9"));
-        assert!(prom.contains("qf_filter_inserts_total 9"));
+        assert!(json.contains("\"qf_insert_latency_ns\": {\"count\": 1"));
+        assert!(prom.contains("qf_insert_latency_ns_count 1"));
         assert_eq!(rep.writes(), 1);
         let _ = fs::remove_file(rep.json_path());
         let _ = fs::remove_file(rep.prom_path());
@@ -176,43 +136,6 @@ mod tests {
         );
         let _ = fs::remove_file(rep.json_path());
         let _ = fs::remove_file(rep.prom_path());
-    }
-
-    #[test]
-    fn drop_flushes_final_state_when_sourced() {
-        let m = std::sync::Arc::new(QfMetrics::new());
-        let prefix = scratch_prefix("drop_flush");
-        let json_path;
-        {
-            let src = std::sync::Arc::clone(&m);
-            let rep = PeriodicReporter::new(&prefix, Duration::from_secs(3600))
-                .with_source(move || src.snapshot());
-            json_path = rep.json_path();
-            // Counter moves *after* the last explicit write opportunity;
-            // only the drop flush can capture it.
-            m.filter_inserts.add(123);
-        }
-        let json = fs::read_to_string(&json_path).unwrap();
-        assert!(
-            json.contains("\"qf_filter_inserts_total\": 123"),
-            "drop flush missed final state: {json}"
-        );
-        let _ = fs::remove_file(&json_path);
-        let _ = fs::remove_file(sidecar_path(&prefix, "metrics.prom"));
-    }
-
-    #[test]
-    fn drop_without_source_writes_nothing() {
-        let prefix = scratch_prefix("drop_silent");
-        let json_path;
-        {
-            let rep = PeriodicReporter::new(&prefix, Duration::from_secs(3600));
-            json_path = rep.json_path();
-        }
-        assert!(
-            !json_path.exists(),
-            "sourceless drop must not invent a snapshot"
-        );
     }
 
     #[test]

@@ -46,8 +46,10 @@ pub enum EventKind {
     /// A quiesce-barrier snapshot was cut on the worker. `a` = snapshot
     /// byte length, `b` = items applied at the cut.
     SnapshotCut = 10,
-    /// A sketch counter saturated instead of wrapping. `a` = row,
-    /// `b` = column.
+    /// A sketch counter saturated instead of wrapping. `a` = row, `b` =
+    /// the emitting thread's running saturation count. Nothing emits it
+    /// any more (the per-insert detection it needed is gone); it stays
+    /// decodable so dumps recorded before that still parse.
     SketchSaturation = 11,
 }
 

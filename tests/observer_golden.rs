@@ -1,16 +1,15 @@
 //! Observer-effect golden: instrumentation must never change what the
 //! filter reports.
 //!
-//! The `telemetry` and `trace` hooks are required to be pure observers.
-//! With their feature off they compile to nothing. With it on they only
-//! touch atomic counters, or stamp events into a thread-local ring (and
-//! drop them on threads with no recorder installed, as here); they never
-//! touch filter state or RNG streams. One binary cannot compile both
-//! feature configurations, so the check is a golden: the full report
-//! sequence of a fixed seeded Zipf trace is hashed and compared against a
-//! constant computed from the uninstrumented build. CI runs this test with
-//! no feature, with `telemetry` and with `trace`; every build must
-//! reproduce the same numbers.
+//! The `trace` hooks are required to be pure observers. With the feature
+//! off they compile to nothing. With it on they only stamp events into a
+//! thread-local ring (and drop them on threads with no recorder
+//! installed, as here); they never touch filter state or RNG streams.
+//! One binary cannot compile both feature configurations, so the check is
+//! a golden: the full report sequence of a fixed seeded Zipf trace is
+//! hashed and compared against a constant computed from the
+//! uninstrumented build. CI runs this test in both build modes, with no
+//! feature and with `trace`; each must reproduce the same numbers.
 //!
 //! The assertions run in order of cause, so a failure names what drifted:
 //! first the trace digest (the dataset generator changed), then the report
